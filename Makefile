@@ -11,7 +11,7 @@ test:
 # mirror of .github/workflows/ci.yml: lint + hygiene + docstring gates,
 # tier-1 tests (property suite on the smoke hypothesis profile), the
 # instrumentation-overhead, resilience-overhead, vectorized-speedup,
-# parallel-speedup, sim-throughput and serve-throughput gates, the
+# parallel-speedup and serve-throughput gates, the
 # benchmark trend gate, then the docs gate (the CI job additionally runs
 # the tier-1 suite under pytest-cov with a threshold on repro.core —
 # incl. repro.core.planner — / repro.obs / repro.mg1 / repro.resilience
@@ -22,7 +22,6 @@ ci: lint lint-repro typecheck hygiene bench-hygiene docstrings
 	PYTHONPATH=src python -m pytest benchmarks/bench_resilience_overhead.py -x -q
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/bench_vectorized_speedup.py -x -q
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/bench_parallel_speedup.py -x -q
-	REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/bench_sim_throughput.py -x -q
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/bench_serve_throughput.py -x -q
 	python tools/bench_trend.py
 	python tools/check_docs.py

@@ -14,14 +14,11 @@ Entry point: :class:`SimulatedCluster` (``cluster.py``), which returns
 :class:`RunResult` records carrying wall time, a per-component energy
 breakdown, hardware-counter totals and an mpiP-style message log.
 
-Two execution cores back it: the scalar reference
-(:mod:`repro.simulate.runtime`) and the lane-stacked batched core
-(:mod:`repro.simulate.batched`), selected per call through
-:func:`resolve_backend` — bit-identical per run, so the choice is purely
-a throughput knob (see ``docs/SIMULATOR.md``).
+One execution core backs it, :func:`repro.simulate.runtime.execute`;
+``SimulatedCluster.run_batch`` is a loop over single runs (see
+``docs/SIMULATOR.md``).
 """
 
-from repro.simulate.backend import SIM_BACKENDS, resolve_backend
 from repro.simulate.cluster import RunRequest, SimulatedCluster
 from repro.simulate.results import (
     ComponentEnergy,
@@ -36,8 +33,6 @@ from repro.simulate.faults import FaultModel, degraded_memory, degraded_network
 __all__ = [
     "SimulatedCluster",
     "RunRequest",
-    "SIM_BACKENDS",
-    "resolve_backend",
     "RunResult",
     "ComponentEnergy",
     "CounterTotals",

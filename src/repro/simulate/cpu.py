@@ -35,9 +35,8 @@ from repro.workloads.base import HybridProgram
 class ComputeDemand:
     """Per-(iteration, process, thread) compute-phase demand arrays.
 
-    All arrays have shape ``(S, n, c)`` for a single run (the batched
-    core stacks lanes in front: ``(L, S, n, c)``); times are seconds at
-    the run's frequency, cycle counts are raw cycles.
+    All arrays have shape ``(S, n, c)``; times are seconds at the run's
+    frequency, cycle counts are raw cycles.
     """
 
     instructions: np.ndarray
@@ -49,7 +48,7 @@ class ComputeDemand:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        """``(S, n, c)`` — or ``(L, S, n, c)`` for a lane-stacked batch."""
+        """``(S, n, c)``: iterations, processes, threads."""
         return self.instructions.shape
 
 
@@ -57,11 +56,9 @@ class ComputeDemand:
 class ComputeDraws:
     """Stochastic inputs of one run's compute phase, pre-drawn.
 
-    Splitting the draws from the arithmetic is what lets the batched
-    core (:mod:`repro.simulate.batched`) consume each lane's generator
-    in exactly the scalar order, then stack the draws and run the
-    arithmetic once across lanes.  Shapes are ``(S, n, 1)`` /
-    ``(S, n, c)`` per lane; the batch core stacks a leading lane axis.
+    Splitting the draws from the arithmetic keeps the order in which the
+    run's generator is consumed explicit.  Shapes are ``(S, n, 1)`` /
+    ``(S, n, c)``.
     """
 
     proc_shares: np.ndarray
@@ -114,16 +111,10 @@ def demand_from_draws(
     cluster: ClusterSpec,
     nodes: int,
     cores: int,
-    frequency_hz: "float | np.ndarray",
+    frequency_hz: float,
     draws: ComputeDraws,
 ) -> ComputeDemand:
-    """Pure arithmetic of the compute phase, shape-agnostic over lanes.
-
-    ``draws`` arrays may carry leading batch axes (``(L, S, n, c)``) and
-    ``frequency_hz`` may be an array broadcastable against them (lane
-    frequencies); each lane's results are bit-identical to a standalone
-    scalar run because every operation is elementwise per lane.
-    """
+    """Pure arithmetic of the compute phase: ``draws`` to demand arrays."""
     core = cluster.node.core
     memory = cluster.node.memory
     n, c = nodes, cores

@@ -73,17 +73,14 @@ def memory_from_draws(
     cluster: ClusterSpec,
     nodes: int,
     cores: int,
-    frequency_hz: "float | np.ndarray",
-    stall_frequency_hz: "float | np.ndarray | None",
+    frequency_hz: float,
+    stall_frequency_hz: float | None,
     arrival_fractions: np.ndarray,
 ) -> MemoryOutcome:
-    """Pure arithmetic of the memory phase, shape-agnostic over lanes.
+    """Pure arithmetic of the memory phase.
 
-    ``arrival_fractions`` is node-major — ``(n, ..., S, c*B)``, with the
-    middle axes matching ``demand``'s leading (lane) axes; every
-    operation below is row-independent (elementwise, per-row sort,
-    per-row scan), so a lane sliced out of a stacked batch is
-    bit-identical to a standalone scalar run.
+    ``arrival_fractions`` is node-major, ``(n, S, c*B)``; every operation
+    below is row-independent (elementwise, per-row sort, per-row scan).
     """
     memory = cluster.node.memory
     core = cluster.node.core

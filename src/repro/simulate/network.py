@@ -26,8 +26,8 @@ time — it is the reason measured CPU utilization ``U`` exceeds the pure-
 compute share.
 
 Everything vectorizes with iterations as independent rows; NIC queues are
-resolved as a batched Lindley over ``(S*n, M)`` and each output port over
-``(S, K_port)``.
+resolved as one row-wise Lindley over ``(S*n, M)`` and each output port
+over ``(S, K_port)``.
 """
 
 from __future__ import annotations
@@ -127,12 +127,11 @@ def network_from_draws(
     sizes: np.ndarray | None,
     offsets: np.ndarray | None,
 ) -> NetworkOutcome:
-    """Pure arithmetic of the communication phase, shape-agnostic over lanes.
+    """Pure arithmetic of the communication phase.
 
-    ``compute_end_s`` is ``(..., S, n)`` and ``sizes``/``offsets`` are
-    ``(..., S, n, M)`` (``None`` when ``msgs == 0``); leading axes are
-    independent lanes.  All operations are row-independent, so a lane of
-    a stacked batch is bit-identical to a standalone scalar run.
+    ``compute_end_s`` is ``(S, n)`` and ``sizes``/``offsets`` are
+    ``(S, n, M)`` (``None`` when ``msgs == 0``).  All operations are
+    row-independent.
     """
     nic = cluster.node.nic
     switch = cluster.switch

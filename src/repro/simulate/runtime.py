@@ -17,9 +17,8 @@ Energy is the exact integral of the true node power model over the state
 occupancy.  Hardware counters and the message log are accumulated exactly.
 
 The run is staged as *draw* steps (which consume the run's named RNG
-stream in a fixed order) and *resolve* steps (pure array arithmetic);
-:mod:`repro.simulate.batched` replays the same stages with a leading lane
-axis, sharing :func:`finalize_run` so the two backends cannot drift.
+stream in a fixed order) and *resolve* steps (pure array arithmetic), so
+the order in which randomness is consumed is explicit in :func:`execute`.
 """
 
 from __future__ import annotations
@@ -64,9 +63,9 @@ def apply_straggler(
 ) -> None:
     """Throttle the straggler node's compute and memory time in place.
 
-    ``compute_time_s``/``stall_time_s`` are the ``(S, n, c)`` views of one
-    run (a lane slice, in the batched core); thermal throttling slows
-    both the pipeline and the memory subsystem of the victim node.
+    ``compute_time_s``/``stall_time_s`` are the ``(S, n, c)`` arrays of
+    one run; thermal throttling slows both the pipeline and the memory
+    subsystem of the victim node.
     """
     if faults is not None and faults.active and faults.straggler_node < nodes:
         k = faults.straggler_node
@@ -91,9 +90,7 @@ def finalize_run(
     """Accumulate one run's observables from its resolved phase arrays.
 
     All arrays are the single-run ``(S, n, c)`` / ``(S, n)`` / ``(S,)``
-    shapes; the batched core calls this once per lane on contiguous lane
-    views, so counters, phases and energy are reduced in exactly the
-    scalar order (bit-identical results).
+    shapes.
     """
     n, c = config.nodes, config.cores
     total_cores = n * c

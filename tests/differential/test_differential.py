@@ -1,16 +1,17 @@
 """Differential harness: scalar model vs vectorized lanes vs simulator.
 
-Four implementations of the paper's model must agree:
+Three implementations of the paper's model must agree:
 
 * ``HybridProgramModel.predict`` — the scalar reference path;
 * ``evaluate_many`` — the vectorized engine the space sweeps run on
   (every lane must equal the scalar prediction at that configuration,
   including saturated/clamped network lanes);
 * the scalar simulator — ground truth the model was calibrated against,
-  which must stay within validation-level tolerance of the predictions;
-* the batched simulator core — which must reproduce the scalar
-  simulator **bit-for-bit** per lane (the resilience layer keys chaos
-  decisions by exact float values, so "1e-9-close" is not close enough).
+  which must stay within validation-level tolerance of the predictions.
+
+Batch submission to the simulator (``run_many``) must also reproduce
+one-at-a-time runs **bit-for-bit** (the resilience layer keys chaos
+decisions by exact float values, so "1e-9-close" is not close enough).
 
 Configurations are drawn by hypothesis over (machine, workload, n, c, f),
 including node counts far past the physical testbeds so the M/G/1
@@ -27,14 +28,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.vectorized import evaluate_many
-from repro.machines.spec import Configuration
-from repro.simulate import (
-    FaultModel,
-    RunRequest,
-    SimulatedCluster,
-    degraded_memory,
-    degraded_network,
-)
 from repro.workloads.registry import get_program
 from tests.conftest import config
 
@@ -264,56 +257,10 @@ def _assert_run_bit_identical(batched, scalar) -> None:
             ), name
 
 
-def _assert_backends_agree(sim: SimulatedCluster, requests) -> None:
-    """run_batch must give bit-identical results on both backends."""
-    scalar = sim.run_batch(requests, backend="scalar")
-    batched = sim.run_batch(requests, backend="batched")
-    assert len(scalar) == len(batched) == len(requests)
-    for b, s in zip(batched, scalar):
-        _assert_run_bit_identical(b, s)
-
-
 class TestScalarVsBatchedSim:
-    """Fourth differential lane: scalar simulator vs batched core.
-
-    The batched core stacks lanes through one NumPy pipeline; every lane
-    must come back bit-identical to the standalone scalar run with the
-    same named RNG stream — across mixed configurations, repetition
-    indices, DVFS throttle points, trace collection, fault injection and
-    spec-level chaos degradations.
-    """
-
-    @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
-    def test_mixed_batches_match_scalar_runs(self, xeon_sim, arm_sim, data):
-        on_xeon = data.draw(st.booleans(), label="xeon")
-        sim = xeon_sim if on_xeon else arm_sim
-        program = get_program("SP" if on_xeon else "CP")
-        freqs = sorted(sim.spec.node.core.frequencies_hz)
-        specs = data.draw(
-            st.lists(
-                st.tuples(
-                    st.sampled_from([1, 2, 4, 8]),
-                    st.sampled_from([1, 2, sim.spec.node.max_cores]),
-                    st.sampled_from(freqs),
-                    st.integers(min_value=0, max_value=3),
-                    st.booleans(),  # throttle stalls to fmin?
-                ),
-                min_size=2,
-                max_size=6,
-            ),
-            label="requests",
-        )
-        requests = [
-            RunRequest(
-                program,
-                Configuration(nodes=n, cores=c, frequency_hz=f),
-                run_index=run,
-                stall_frequency_hz=freqs[0] if throttle and f > freqs[0] else None,
-            )
-            for n, c, f, run, throttle in specs
-        ]
-        _assert_backends_agree(sim, requests)
+    """Batch submission vs one run at a time: every result of a
+    replication batch must be bit-identical to the standalone run with
+    the same named RNG stream."""
 
     def test_replication_batch_matches_individual_runs(self, xeon_sim):
         """run_many (the validation campaign's shape) vs one-at-a-time."""
@@ -324,41 +271,3 @@ class TestScalarVsBatchedSim:
             _assert_run_bit_identical(
                 result, xeon_sim.run(program, cfg, run_index=i)
             )
-
-    def test_traced_lanes_match(self, arm_sim):
-        program = get_program("CP")
-        requests = [
-            RunRequest(program, config(2, 4, 1.4), run_index=i, collect_trace=True)
-            for i in range(3)
-        ]
-        _assert_backends_agree(arm_sim, requests)
-
-    def test_saturated_contention_matches(self, xeon_sim):
-        """Heavy-contention lanes: full node count, full cores, choked
-        memory and network so the Lindley queues run deep backlogs."""
-        spec = degraded_network(degraded_memory(xeon_sim.spec, 0.05), 0.05)
-        sim = SimulatedCluster(spec, root_seed=xeon_sim.root_seed)
-        program = get_program("SP")
-        requests = [
-            RunRequest(program, config(8, 8, 1.8), run_index=i) for i in range(3)
-        ]
-        scalar = sim.run_batch(requests, backend="scalar")
-        _assert_backends_agree(sim, requests)
-        # the degradation must actually bite (deep queues, not a no-op)
-        healthy = xeon_sim.run(program, config(8, 8, 1.8))
-        assert scalar[0].wall_time_s > 2.0 * healthy.wall_time_s
-
-    def test_chaos_degraded_faulty_lanes_match(self, arm_sim):
-        """Straggler faults + degraded DRAM: the chaos-path arithmetic
-        (apply_straggler, rescaled bandwidth) stays lane-exact too."""
-        spec = degraded_memory(arm_sim.spec, 0.5)
-        sim = SimulatedCluster(
-            spec,
-            root_seed=arm_sim.root_seed,
-            faults=FaultModel(straggler_node=1, straggler_factor=1.6),
-        )
-        program = get_program("CP")
-        requests = [
-            RunRequest(program, config(4, 4, 1.4), run_index=i) for i in range(3)
-        ] + [RunRequest(program, config(2, 2, 0.5), run_index=0)]
-        _assert_backends_agree(sim, requests)

@@ -87,29 +87,3 @@ def test_requires_subcommand():
 def test_rejects_unknown_cluster():
     with pytest.raises(SystemExit):
         main(["netpipe", "--cluster", "power9"])
-
-
-def test_sim_backend_flag_parses_and_rejects_unknown():
-    from repro.cli.main import _build_parser
-
-    args = _build_parser().parse_args(["--sim-backend", "scalar", "systems"])
-    assert args.sim_backend == "scalar"
-    assert _build_parser().parse_args(["systems"]).sim_backend == "auto"
-    with pytest.raises(SystemExit):
-        _build_parser().parse_args(["--sim-backend", "gpu", "systems"])
-
-
-def test_sim_backend_flag_reaches_the_cluster(capsys):
-    """Both backends drive the same traced run to identical output —
-    the bit-identity contract, observed end to end through the CLI."""
-    outputs = []
-    for backend in ("scalar", "batched"):
-        argv = [
-            "--sim-backend", backend,
-            "trace", "--cluster", "xeon", "--program", "SP",
-            "--config", "1,2,1.8",
-        ]
-        assert main(argv) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-    assert "SP on xeon" in outputs[0]

@@ -1,12 +1,10 @@
-"""Batched simulator core: backend selection, chunking, lane mechanics.
+"""Batch submission: ``SimulatedCluster.run_batch`` and ``run_many``.
 
-Bit-identity of whole batches against the scalar backend lives in the
-differential harness (``tests/differential``); these tests pin the
-plumbing around it — the ``auto``/``scalar``/``batched`` selector and its
-environment override, the cache-sized chunk heuristic, request-order
-restoration across mixed groups, per-lane knobs (faults, DVFS, traces),
-validation errors, observability counters, and the statistical sanity of
-batch means against the M/G/1 closed forms and roofline limits.
+A batch is a list of `RunRequest`s; each entry must come back, in
+request order, exactly equal to the standalone `run` call with the same
+knobs (named stream, DVFS throttle point, trace collection, the
+cluster's fault model). Replication means must also land where the
+M/G/1 closed forms and the roofline limits say they should.
 """
 
 from __future__ import annotations
@@ -16,93 +14,18 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro import obs
 from repro.core.roofline import place_workload
 from repro.machines.spec import Configuration
-from repro.simulate import SIM_BACKENDS, RunRequest, resolve_backend
-from repro.simulate.backend import ENV_VAR
-from repro.simulate.batched import (
-    CHUNK_ENV_VAR,
-    CHUNK_TARGET_BYTES,
-    LaneRequest,
-    _lanes_per_chunk,
-    execute_batch,
-)
+from repro.simulate import RunRequest
 from repro.simulate.faults import FaultModel
-from repro.simulate.memory import BATCHES
 from repro.workloads.registry import get_program
 from tests.conftest import config
 
 
-class TestResolveBackend:
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "batched")
-        assert resolve_backend("scalar", lanes=100) == "scalar"
-        monkeypatch.setenv(ENV_VAR, "scalar")
-        assert resolve_backend("batched", lanes=1) == "batched"
-
-    def test_environment_overrides_auto(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "scalar")
-        assert resolve_backend("auto", lanes=100) == "scalar"
-        assert resolve_backend(None, lanes=100) == "scalar"
-        monkeypatch.setenv(ENV_VAR, "batched")
-        assert resolve_backend(None, lanes=1) == "batched"
-
-    def test_auto_uses_lane_heuristic(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        assert resolve_backend(None, lanes=1) == "scalar"
-        assert resolve_backend("auto", lanes=1) == "scalar"
-        assert resolve_backend(None, lanes=2) == "batched"
-        assert resolve_backend("auto", lanes=32) == "batched"
-
-    def test_env_value_auto_defers_to_heuristic(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "auto")
-        assert resolve_backend(None, lanes=1) == "scalar"
-        assert resolve_backend(None, lanes=2) == "batched"
-        monkeypatch.setenv(ENV_VAR, "  Batched ")
-        assert resolve_backend(None, lanes=1) == "batched"
-
-    def test_unknown_backend_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="unknown sim backend"):
-            resolve_backend("vectorised")
-        monkeypatch.setenv(ENV_VAR, "gpu")
-        with pytest.raises(ValueError, match="unknown sim backend"):
-            resolve_backend(None)
-
-    def test_backend_names_enumerated(self):
-        assert SIM_BACKENDS == ("auto", "scalar", "batched")
-        for name in ("scalar", "batched"):
-            assert resolve_backend(name) == name
-
-
-class TestLanesPerChunk:
-    def test_small_shapes_stack_many_lanes(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
-        assert _lanes_per_chunk(100, 1, 4) > 8
-
-    def test_big_shapes_fall_back_to_single_lanes(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
-        assert _lanes_per_chunk(4000, 8, 16) == 1
-
-    def test_chunk_stays_near_byte_budget(self, monkeypatch):
-        monkeypatch.delenv(CHUNK_ENV_VAR, raising=False)
-        s, n, c = 400, 2, 4
-        lanes = _lanes_per_chunk(s, n, c)
-        lane_bytes = 8 * s * n * c * BATCHES
-        assert lanes * lane_bytes <= CHUNK_TARGET_BYTES
-        assert (lanes + 1) * lane_bytes > CHUNK_TARGET_BYTES
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV_VAR, "3")
-        assert _lanes_per_chunk(400, 8, 8) == 3
-        monkeypatch.setenv(CHUNK_ENV_VAR, "0")
-        assert _lanes_per_chunk(400, 8, 8) == 1
-
-
 class TestExecuteBatch:
     def test_results_come_back_in_request_order(self, xeon_sim, arm_sim):
-        """Interleaved groups (two programs, two shapes) must scatter
-        results back to their request slots."""
+        """Interleaved programs and shapes come back in their request
+        slots."""
         sp, lu = get_program("SP"), get_program("LU")
         requests = [
             RunRequest(sp, config(2, 4, 1.8), run_index=0),
@@ -111,49 +34,41 @@ class TestExecuteBatch:
             RunRequest(sp, config(4, 8, 1.2), run_index=0),
             RunRequest(lu, config(1, 2, 1.5), run_index=1),
         ]
-        results = xeon_sim.run_batch(requests, backend="batched")
+        results = xeon_sim.run_batch(requests)
         assert len(results) == len(requests)
         for req, res in zip(requests, results):
             assert res.program == req.program.name
             assert res.config == req.config
+            assert res == xeon_sim.run(
+                req.program, req.config, run_index=req.run_index
+            )
 
     def test_single_lane_batch_matches_run(self, arm_sim):
         cp = get_program("CP")
         cfg = config(2, 4, 1.4)
-        [only] = arm_sim.run_batch(
-            [RunRequest(cp, cfg, run_index=2)], backend="batched"
-        )
+        [only] = arm_sim.run_batch([RunRequest(cp, cfg, run_index=2)])
         assert only == arm_sim.run(cp, cfg, run_index=2)
 
     def test_lanes_may_mix_faults_and_dvfs(self, xeon_sim):
-        """LaneRequest carries per-lane faults and throttle points; each
-        lane must equal the standalone run with the same knobs."""
+        """A batch on a faulty cluster may mix throttled and unthrottled
+        requests; each must equal the standalone run with the same knobs."""
         sp = get_program("SP")
         cfg = config(2, 2, 1.8)
         fault = FaultModel(straggler_node=0, straggler_factor=1.5)
-        lanes = [
-            LaneRequest(
-                program=sp,
-                class_name=sp.reference_class,
-                config=cfg,
-                rng=xeon_sim._stream(sp, sp.reference_class, cfg, 0),
-                faults=fault,
-            ),
-            LaneRequest(
-                program=sp,
-                class_name=sp.reference_class,
-                config=cfg,
-                rng=xeon_sim._stream(sp, sp.reference_class, cfg, 0),
-                stall_frequency_hz=1.2e9,
-            ),
-        ]
-        faulty, throttled = execute_batch(xeon_sim.spec, lanes)
         faulty_sim = dataclasses.replace(xeon_sim, faults=fault)
+        requests = [
+            RunRequest(sp, cfg),
+            RunRequest(sp, cfg, stall_frequency_hz=1.2e9),
+        ]
+        faulty, faulty_throttled = faulty_sim.run_batch(requests)
+        _, throttled = xeon_sim.run_batch(requests)
         assert faulty == faulty_sim.run(sp, cfg)
+        assert faulty_throttled == faulty_sim.run(sp, cfg, stall_frequency_hz=1.2e9)
         assert throttled == xeon_sim.run(sp, cfg, stall_frequency_hz=1.2e9)
         # the knobs actually differ: a straggler and a throttle are not
         # the same run
         assert faulty.wall_time_s != throttled.wall_time_s
+        assert faulty_throttled.wall_time_s != throttled.wall_time_s
 
     def test_collect_trace_per_lane(self, xeon_sim):
         sp = get_program("SP")
@@ -161,66 +76,42 @@ class TestExecuteBatch:
             RunRequest(sp, config(2, 2, 1.8), run_index=0, collect_trace=True),
             RunRequest(sp, config(2, 2, 1.8), run_index=1),
         ]
-        traced, untraced = xeon_sim.run_batch(requests, backend="batched")
+        traced, untraced = xeon_sim.run_batch(requests)
         assert traced.trace is not None
         assert traced.trace.iterations == sp.iterations(sp.reference_class)
         assert untraced.trace is None
+        reference = xeon_sim.run(sp, config(2, 2, 1.8), collect_trace=True)
+        assert np.array_equal(traced.trace.iteration_s, reference.trace.iteration_s)
 
     def test_invalid_configuration_rejected_before_any_work(self, xeon_sim):
         sp = get_program("SP")
         bad_freq = RunRequest(sp, config(1, 1, 9.9))
         with pytest.raises(ValueError):
-            xeon_sim.run_batch([bad_freq], backend="batched")
+            xeon_sim.run_batch([bad_freq])
         bad_stall = RunRequest(
             sp, config(1, 1, 1.8), stall_frequency_hz=9.9e9
         )
         with pytest.raises(ValueError):
-            xeon_sim.run_batch([bad_stall], backend="batched")
+            xeon_sim.run_batch([bad_stall])
 
     def test_empty_batch(self, xeon_sim):
-        assert xeon_sim.run_batch([], backend="batched") == []
         assert xeon_sim.run_batch([]) == []
-
-    def test_obs_counters_report_lane_accounting(self, xeon_sim, monkeypatch):
-        monkeypatch.setenv(CHUNK_ENV_VAR, "2")
-        sp, lu = get_program("SP"), get_program("LU")
-        requests = [
-            RunRequest(sp, config(1, 2, 1.8), run_index=i) for i in range(3)
-        ] + [RunRequest(lu, config(1, 2, 1.8), run_index=0)]
-        with obs.observed(tracing=False) as (reg, _):
-            xeon_sim.run_batch(requests, backend="batched")
-        assert reg.counter_value("sim.batched.lanes") == 4.0
-        assert reg.counter_value("sim.batched.groups") == 2.0
-        # 3 SP lanes at 2/chunk -> 2 chunks, plus 1 LU chunk
-        assert reg.counter_value("sim.batched.chunks") == 3.0
-        assert reg.counter_value("sim.batched.batches") == 1.0
-
-    def test_run_many_routes_through_auto(self, arm_sim, monkeypatch):
-        """run_many's replication batches take the batched core under
-        ``auto`` and still match per-run scalar execution."""
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        cp = get_program("CP")
-        cfg = config(1, 4, 1.1)
-        many = arm_sim.run_many(cp, cfg, repetitions=3)
-        for i, result in enumerate(many):
-            assert result == arm_sim.run(cp, cfg, run_index=i)
 
 
 class TestBatchStatisticalValidity:
-    """Batch means must land where the closed forms say they should."""
+    """Replication means must land where the closed forms say they should."""
 
     def test_batch_means_track_mg1_model(self, xeon_sim, xeon_sp_model):
         """The analytical model (M/G/1 network wait, Pollaczek-Khinchine
-        via ``repro.mg1``) was calibrated against the scalar simulator;
-        batched replication means must stay within validation-level
-        tolerance of its prediction too."""
+        via ``repro.mg1``) was calibrated against the simulator; batch
+        replication means must stay within validation-level tolerance of
+        its prediction."""
         cfg = config(4, 8, 1.8)
         runs = xeon_sim.run_batch(
             [
                 RunRequest(get_program("SP"), cfg, run_index=i)
                 for i in range(4)
-            ],
-            backend="batched",
+            ]
         )
         pred = xeon_sp_model.predict(cfg)
         assert not pred.time.saturated  # rho < 1: the closed form is live

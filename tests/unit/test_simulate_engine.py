@@ -1,10 +1,10 @@
-"""Discrete-event engine and FIFO server."""
+"""The event-level oracle: discrete-event engine and FIFO server."""
 
 import numpy as np
 import pytest
 
-from repro.simulate.engine import FifoServer, Simulator
 from repro.simulate.queueing import lindley_waits
+from tests.oracles.event_engine import FifoServer, Simulator
 
 
 class TestSimulator:

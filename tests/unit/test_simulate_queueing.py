@@ -61,7 +61,7 @@ class TestLindley:
             lindley_waits(np.array([1.0, 0.0]), np.array([1.0, 1.0]))
 
     def test_nd_lanes_match_rows(self):
-        # the batched core stacks lanes as leading axes: any (..., R)
+        # the memory phase passes (S, n, R) arrays: any (..., R)
         # shape resolves, each row independently
         rng = np.random.default_rng(7)
         arrivals = np.sort(rng.uniform(0, 10, size=(2, 3, 20)), axis=-1)
