@@ -15,7 +15,8 @@ test:
 # benchmark trend gate, then the docs gate (the CI job additionally runs
 # the tier-1 suite under pytest-cov with a threshold on repro.core —
 # incl. repro.core.planner — / repro.obs / repro.mg1 / repro.resilience
-# / repro.simulate / repro.serve, plus a chaos job — see `make chaos`)
+# / repro.simulate / repro.serve / repro.pipeline / repro.lint /
+# repro.context, plus a chaos job — see `make chaos`)
 ci: lint lint-repro typecheck hygiene bench-hygiene docstrings
 	REPRO_HYPOTHESIS_PROFILE=smoke PYTHONPATH=src python -m pytest -x -q
 	REPRO_BENCH_SMOKE=1 PYTHONPATH=src python -m pytest benchmarks/bench_obs_overhead.py -x -q

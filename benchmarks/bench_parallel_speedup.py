@@ -1,9 +1,10 @@
 """Sharded/planner execution vs. single process (perf regression gates).
 
 Times the single-process broadcast engine against (a) the *forced*
-sharded multiprocess engine (``repro.core.parallel``) and (b) the
-*planner-routed* path (``repro.core.planner`` in auto mode over the same
-plan), checks the sharded arrays are bit-identical to the single-process
+sharded multiprocess engine (``repro.core.parallel._run_sharded``,
+called directly so it shards even where the planner would decline) and
+(b) the *planner-routed* path (``repro.core.planner`` under an execution
+context with the same worker bound and a result cache), checks the sharded arrays are bit-identical to the single-process
 ones, times the persistent result cache's warm path, and measures the
 planner's per-decision overhead plus the peak RSS of block-streamed
 reduction over a huge space.  A machine-readable record goes to
@@ -20,7 +21,7 @@ Two modes:
   CI runner can legitimately lose to one process when *forced*.
 
 The planner floor binds in both modes: the planner-routed path must
-never lose to single-process (>= 1.0x), because auto mode declines
+never lose to single-process (>= 1.0x), because the planner declines
 sharding whenever the host cannot profit from it (the recorded 0.67x
 pessimization) and serves repeats from the warm cache.  Likewise the
 planner must never pick a strategy slower than the scalar reference
@@ -37,13 +38,9 @@ import numpy as np
 
 from repro.core.cache import ARRAY_FIELDS, ResultCache, entry_identity
 from repro.core.configspace import ConfigSpace
-from repro.core.parallel import (
-    ExecutionPlan,
-    evaluate_plan,
-    parallel_plan,
-    shutdown_pool,
-)
-from repro.core.planner import calibrate, decide, planner_config, stream_topk
+from repro.context import use
+from repro.core.parallel import _run_sharded, shutdown_pool
+from repro.core.planner import calibrate, decide, stream_topk
 from repro.core.vectorized import _compute, clear_evaluation_cache, evaluate_configs
 from repro.units import KIB, MIB
 
@@ -53,7 +50,7 @@ FULL_SPEEDUP_FLOOR = 3.0
 #: The floor only binds where the hardware can deliver it.
 FULL_FLOOR_MIN_CPUS = 4
 #: The planner-routed path must never lose to single-process — in any
-#: mode, on any host: auto mode may decline sharding and may answer
+#: mode, on any host: the planner may decline sharding and may answer
 #: repeats from the warm cache, so >= 1.0x is always achievable.
 PLANNER_SPEEDUP_FLOOR = 1.0
 WORKERS = 2 if SMOKE else 4
@@ -150,37 +147,31 @@ def test_parallel_speedup(
     """Gate sharded, planner-routed, warm-cache and streamed execution."""
     model = model_cache(xeon_sim, "SP")
     space = _synthetic_space()
-    plan = ExecutionPlan(
-        workers=WORKERS, min_parallel_configs=1, transport="memmap",
-        clamp_workers=False,
-    )
+    cls = model.inputs.baseline_class
+
+    def forced_shards():
+        return _run_sharded(WORKERS, model, space, cls, "bracketed", True)
 
     try:
         # pre-warm the persistent pool: fork cost is paid once per process
         # lifetime, not per sweep, so it is excluded like any other warmup
-        evaluate_plan(plan, model, space, None, "bracketed", True)
+        forced_shards()
 
         single_s, single = _best_of(
             lambda: _compute(model, space, None, "bracketed", True)
         )
-        sharded_s, sharded = _best_of(
-            lambda: evaluate_plan(plan, model, space, None, "bracketed", True)
-        )
-        benchmark.pedantic(
-            lambda: evaluate_plan(plan, model, space, None, "bracketed", True),
-            rounds=1,
-            iterations=1,
-        )
+        sharded_s, sharded = _best_of(forced_shards)
+        benchmark.pedantic(forced_shards, rounds=1, iterations=1)
 
-        # the planner-routed path: auto mode over a cached plan declines
-        # sharding when the host cannot profit and serves repeats warm
+        # the planner-routed path: under a cached context the planner
+        # declines sharding when the host cannot profit and serves
+        # repeats warm
         def planner_pass():
             clear_evaluation_cache()  # time the planner, not the LRU
-            with parallel_plan(
-                workers=WORKERS, cache_dir=tmp_path / "planner-cache"
+            with use(
+                workers=WORKERS, cache=ResultCache(tmp_path / "planner-cache")
             ):
-                with planner_config(mode="auto"):
-                    return evaluate_configs(model, space)
+                return evaluate_configs(model, space)
 
         planner_s, planner_result = _best_of(planner_pass)
     finally:
@@ -222,13 +213,12 @@ def test_parallel_speedup(
     scalar_s, _ = _best_of(
         lambda: [model.predict(cfg) for cfg in paper_space], repeats=1
     )
-    with planner_config(mode="auto"):
-        chosen_s, _ = _best_of(
-            lambda: (
-                clear_evaluation_cache(),
-                evaluate_configs(model, paper_space),
-            )[1]
-        )
+    chosen_s, _ = _best_of(
+        lambda: (
+            clear_evaluation_cache(),
+            evaluate_configs(model, paper_space),
+        )[1]
+    )
 
     # streamed huge-space reduction: fixed block budget, peak RSS in a
     # fresh process, and the same winners at two different block sizes

@@ -29,6 +29,7 @@ import statistics
 import time
 
 from repro import resilience
+from repro.context import use
 from repro.core.inputs import characterize
 from repro.machines.arm import arm_cluster
 from repro.simulate.cluster import SimulatedCluster
@@ -54,17 +55,14 @@ def _measure_overhead_pct(run, policy, chaos=None) -> float:
     """Enabled-vs-disabled overhead as a pooled-median percentage."""
     disabled, enabled = [], []
     for _ in range(_PAIRS):
-        resilience.disable()
-        t0 = time.perf_counter()
-        run()
-        disabled.append(time.perf_counter() - t0)
-        resilience.enable(policy, chaos)
-        t0 = time.perf_counter()
-        try:
+        with use(resilience=None):
+            t0 = time.perf_counter()
             run()
-        finally:
-            resilience.disable()
-        enabled.append(time.perf_counter() - t0)
+            disabled.append(time.perf_counter() - t0)
+        with use(resilience=resilience.ResilienceContext(policy, chaos)):
+            t0 = time.perf_counter()
+            run()
+            enabled.append(time.perf_counter() - t0)
     ratio = statistics.median(enabled) / statistics.median(disabled)
     return 100.0 * (ratio - 1.0)
 
@@ -90,17 +88,14 @@ def test_resilience_overhead(benchmark, arm_sim, write_report):
     # recovery cost under the CI chaos schedule (reported, not gated)
     chaos = resilience.ChaosSchedule.load(_CI_SCHEDULE)
     chaos_policy = resilience.RetryPolicy.aggressive()
-    resilience.disable()
-    t0 = time.perf_counter()
-    run()
-    t_clean = time.perf_counter() - t0
-    resilience.enable(chaos_policy, chaos)
-    t0 = time.perf_counter()
-    try:
+    with use(resilience=None):
+        t0 = time.perf_counter()
         run()
-    finally:
-        resilience.disable()
-    t_chaos = time.perf_counter() - t0
+        t_clean = time.perf_counter() - t0
+    with use(resilience=resilience.ResilienceContext(chaos_policy, chaos)):
+        t0 = time.perf_counter()
+        run()
+        t_chaos = time.perf_counter() - t0
     chaos_recovery_pct = 100.0 * (t_chaos / t_clean - 1.0)
 
     write_report(

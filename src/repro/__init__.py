@@ -62,7 +62,7 @@ from repro.simulate import (
 )
 from repro.core import (
     ConfigSpace,
-    ExecutionPlan,
+    ExecutionContext,
     HybridProgramModel,
     ModelInputs,
     ParetoPoint,
@@ -73,9 +73,9 @@ from repro.core import (
     evaluate_space,
     min_energy_within_deadline,
     min_time_within_budget,
-    parallel_plan,
     pareto_frontier,
     ucr_decomposition,
+    use,
 )
 from repro.analysis import ValidationCampaign, validate_program
 from repro.workflow import Recommendation, recommend
@@ -128,10 +128,10 @@ __all__ = [
     "min_time_within_budget",
     "ucr_decomposition",
     "WhatIf",
-    # parallel execution + persistent result cache
-    "ExecutionPlan",
+    # execution context + persistent result cache
+    "ExecutionContext",
     "ResultCache",
-    "parallel_plan",
+    "use",
     # analysis
     "ValidationCampaign",
     "validate_program",

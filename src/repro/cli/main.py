@@ -24,7 +24,6 @@ from repro.analysis.validation import validate_program
 from repro.core.configspace import ConfigSpace, evaluate_space
 from repro.core.model import HybridProgramModel
 from repro.core.pareto import pareto_frontier
-from repro.core.planner import PLAN_MODES
 from repro.core.whatif import WhatIf
 from repro.machines.registry import get_cluster, list_clusters
 from repro.machines.spec import Configuration
@@ -72,8 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard large configuration-space sweeps across N worker "
-        "processes (results stay bit-identical — see docs/SCALING.md)",
+        help="allow up to N shard worker processes for configuration-space "
+        "sweeps; the planner decides per sweep whether sharding pays "
+        "(output bytes never change — see docs/PLANNER.md)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -82,16 +82,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="persist configuration-space results in a fingerprinted "
         "on-disk cache at PATH; warm sweeps are served from it and any "
         "model/space change invalidates the entry (docs/SCALING.md)",
-    )
-    parser.add_argument(
-        "--plan",
-        choices=PLAN_MODES,
-        default=None,
-        metavar="MODE",
-        help="execution planner mode for configuration-space sweeps: "
-        "'auto' picks scalar/vectorized/sharded/cached from a calibrated "
-        "cost model, the others force one strategy — results stay within "
-        "the pinned tolerances either way (docs/PLANNER.md)",
     )
     parser.add_argument(
         "--max-block-bytes",
@@ -271,7 +261,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pe.add_argument(
         "--plan-workers", type=int, default=1, metavar="N",
-        help="worker count of the ambient plan being considered",
+        help="worker bound of the execution context being considered",
     )
     pe.add_argument(
         "--calibration",
@@ -324,7 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run up to N independent stages concurrently (each stage's "
-        "internal sweeps still honor the global --workers plan)",
+        "internal sweeps still honor the global --workers, --cache-dir "
+        "and --max-block-bytes)",
     )
     pr.add_argument(
         "--force",
@@ -828,8 +819,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         path = planner.save_cost_model(cost_model, args.output)
         print(f"wrote calibration -> {path}")
         print(
-            f"  scalar {cost_model.scalar_per_config_s:.3e} s/config, "
-            f"vectorized {cost_model.vectorized_base_s:.3e} s + "
+            f"  vectorized {cost_model.vectorized_base_s:.3e} s + "
             f"{cost_model.vectorized_per_config_s:.3e} s/config"
         )
         print(
@@ -849,7 +839,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     decision = planner.decide(
         args.configs,
         workers=args.plan_workers,
-        mode=args.plan or "auto",
         cost_model=cost_model,
         max_block_bytes=args.max_block_bytes,
     )
@@ -984,16 +973,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import DEFAULT_ENGINE_WORKERS, run_server
 
     # The service owns its warm tier directly (the global --cache-dir is
-    # reused as its ResultCache directory); --workers still installs the
-    # ambient plan around it, so large per-request sweeps shard as usual.
+    # reused as its ResultCache directory); the global execution context
+    # (--workers, --max-block-bytes, resilience) reaches every engine call.
     return run_server(
         host=args.host,
         port=args.port,
         rate=args.rate,
         burst=args.burst,
         cache_dir=args.cache_dir,
-        plan=args.plan or "auto",
-        max_block_bytes=args.max_block_bytes,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
         engine_workers=(
@@ -1040,66 +1027,41 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 
 
-def _dispatch_planned(args: argparse.Namespace) -> int:
-    """Run the command under execution plan/planner contexts when requested.
+def _dispatch_in_context(args: argparse.Namespace) -> int:
+    """Run the command under the execution context the global flags ask for.
 
-    ``--workers``/``--cache-dir`` install an ambient
-    :class:`~repro.core.parallel.ExecutionPlan`, so every
+    ``--workers``/``--cache-dir``/``--max-block-bytes`` shape every
     configuration-space sweep the command performs (pareto, ucr, batch,
-    search, what-if) is sharded across worker processes and/or served
-    from the persistent result cache.  ``--plan``/``--max-block-bytes``
-    additionally activate a :class:`~repro.core.planner.PlannerConfig`,
-    putting strategy selection (and block streaming) under the
-    calibrated cost model.
+    search, what-if, serve); any of ``--retries``/``--timeout``/
+    ``--chaos`` installs the resilience layer.  Resilience-layer failures
+    (unusable checkpoints, campaigns lost beyond recovery, bad policies
+    or schedules) exit nonzero with an actionable message instead of a
+    traceback.
     """
-    import contextlib
+    from repro.context import use
 
-    wants_plan = args.workers != 1 or args.cache_dir is not None
-    wants_planner = args.plan is not None or args.max_block_bytes is not None
-    if not wants_plan and not wants_planner:
-        return _dispatch_resilient(args)
-    with contextlib.ExitStack() as stack:
-        if wants_plan:
-            from repro.core.parallel import parallel_plan
+    changes: dict = {
+        "workers": args.workers,
+        "max_block_bytes": args.max_block_bytes,
+    }
+    if args.cache_dir is not None:
+        from repro.core.cache import ResultCache
 
-            stack.enter_context(
-                parallel_plan(workers=args.workers, cache_dir=args.cache_dir)
-            )
-        if wants_planner:
-            from repro.core.planner import planner_config
-
-            stack.enter_context(
-                planner_config(
-                    mode=args.plan or "auto",
-                    max_block_bytes=args.max_block_bytes,
-                )
-            )
-        return _dispatch_resilient(args)
-
-
-def _dispatch_resilient(args: argparse.Namespace) -> int:
-    """Run the command, optionally inside a resilience context.
-
-    The context is enabled when any of ``--retries``/``--timeout``/
-    ``--chaos`` is given; resilience-layer failures (unusable checkpoints,
-    campaigns lost beyond recovery, bad policies or schedules) exit
-    nonzero with an actionable message instead of a traceback.
-    """
-    from repro import resilience
-
-    wanted = (
+        changes["cache"] = ResultCache(args.cache_dir)
+    if (
         args.retries is not None
         or args.timeout is not None
         or args.chaos is not None
-    )
-    if not wanted:
-        return _dispatch(args)
-    policy = resilience.RetryPolicy(
-        max_retries=args.retries if args.retries is not None else 3,
-        timeout_s=args.timeout,
-    )
-    chaos = resilience.ChaosSchedule.load(args.chaos) if args.chaos else None
-    with resilience.enabled(policy, chaos):
+    ):
+        from repro import resilience
+
+        policy = resilience.RetryPolicy(
+            max_retries=args.retries if args.retries is not None else 3,
+            timeout_s=args.timeout,
+        )
+        chaos = resilience.ChaosSchedule.load(args.chaos) if args.chaos else None
+        changes["resilience"] = resilience.ResilienceContext(policy, chaos)
+    with use(**changes):
         return _dispatch(args)
 
 
@@ -1130,14 +1092,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace) -> int:
     if args.trace is None and args.metrics is None:
-        return _dispatch_planned(args)
+        return _dispatch_in_context(args)
 
     from repro import obs
 
     tracer = obs.enable_tracing() if args.trace is not None else None
     registry = obs.enable_metrics() if args.metrics is not None else None
     try:
-        return _dispatch_planned(args)
+        return _dispatch_in_context(args)
     finally:
         obs.disable()
         if tracer is not None:

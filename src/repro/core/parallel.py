@@ -2,16 +2,15 @@
 
 The vectorized engine (:mod:`repro.core.vectorized`) computes a whole
 ``(n, c, f)`` space as one NumPy broadcast — single-process.  At
-production scale (hundreds of thousands of configurations, batched over
-machine and workload registries) one process pins one core while the
-rest idle.  This module shards a space across worker processes and adds
-the ambient :class:`ExecutionPlan` that the whole pipeline
-(``evaluate_space`` → ``search``/``pareto``/``batch``/``whatif``/UCR)
-consults, so parallelism and the persistent result cache
-(:mod:`repro.core.cache`) switch on in one place::
+production scale (hundreds of thousands of configurations) one process
+pins one core while the rest idle.  This module shards a space across
+worker processes.  It is the planner's ``sharded`` strategy
+(:func:`repro.core.planner.execute`), chosen only when the ambient
+:class:`~repro.context.ExecutionContext` allows more than one worker,
+the host has more than one CPU and the cost model says it pays::
 
-    with parallel_plan(workers=4, cache_dir="~/.cache/repro"):
-        evaluation = evaluate_space(model, space)   # sharded + cached
+    with use(workers=4):
+        evaluation = evaluate_space(model, space)   # sharded if it pays
 
 Guarantees:
 
@@ -23,17 +22,17 @@ Guarantees:
   equal the single-process arrays bit for bit, regardless of worker
   scheduling.  The equivalence tests pin this exactly (not just 1e-9).
 * **Deterministic dispatch.**  Shard boundaries depend only on the space
-  and the plan, never on timing.
+  and the worker count, never on timing.
 * **Cheap result transport.**  Workers write their slice into shared
   scratch files (``/dev/shm``-backed memmaps when available) instead of
-  pickling megabytes of arrays through the result pipe; a plain pickle
-  transport remains as the fallback.
+  pickling megabytes of arrays through the result pipe; when no scratch
+  space is writable the arrays come back pickled instead.
 
 The worker pool is persistent (created lazily, reused across sweeps,
 shut down at interpreter exit) so repeated sweeps do not re-pay process
-startup.  Small sweeps — below :attr:`ExecutionPlan.min_parallel_configs`
-— run inline: sharding a few hundred configurations would cost more in
-dispatch than it saves in compute.
+startup.  Sweeps below :data:`MIN_PARALLEL_CONFIGS` never shard:
+sharding a few hundred configurations would cost more in dispatch than
+it saves in compute.
 """
 
 from __future__ import annotations
@@ -41,15 +40,13 @@ from __future__ import annotations
 import atexit
 import itertools
 import os
-import pathlib
 import shutil
 import tempfile
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import multiprocessing
 
@@ -57,15 +54,15 @@ import numpy as np
 
 from repro import obs
 from repro.core import vectorized
-from repro.core.cache import ARRAY_FIELDS, ResultCache, entry_identity
+from repro.core.cache import ARRAY_FIELDS
 
-#: Below this many configurations a sweep runs inline: process dispatch
+#: Below this many configurations a sweep never shards: process dispatch
 #: would dominate the broadcast compute.
-DEFAULT_MIN_PARALLEL_CONFIGS = 4096
+MIN_PARALLEL_CONFIGS = 4096
 
 #: Shards per worker; >1 load-balances the fixed-point iteration skew
 #: (high node counts iterate longer than single-node lanes).
-DEFAULT_SHARDS_PER_WORKER = 2
+SHARDS_PER_WORKER = 2
 
 
 @dataclass(frozen=True)
@@ -98,88 +95,6 @@ class _SubGrid:
             yield Configuration(nodes=n, cores=c, frequency_hz=f)
 
 
-@dataclass(frozen=True)
-class ExecutionPlan:
-    """How configuration-space evaluations execute while active.
-
-    ``workers`` > 1 shards large sweeps across that many processes;
-    ``cache`` persists results on disk keyed by content fingerprint.
-    Install a plan with :func:`parallel_plan` (context manager) or
-    :func:`activate`.
-
-    ``workers`` is a *request*: by default the dispatch clamps it to the
-    CPUs actually available (:func:`effective_workers`) because sharding
-    past the core count is a measured pessimization.  Tests and
-    benchmarks that exercise the shard machinery itself on small hosts
-    set ``clamp_workers=False``.
-    """
-
-    workers: int = 1
-    cache: ResultCache | None = None
-    min_parallel_configs: int = DEFAULT_MIN_PARALLEL_CONFIGS
-    shards_per_worker: int = DEFAULT_SHARDS_PER_WORKER
-    transport: str = "memmap"
-    clamp_workers: bool = True
-
-    def __post_init__(self) -> None:
-        """Validate the knobs (worker/shard counts, transport name)."""
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.min_parallel_configs < 1:
-            raise ValueError("min_parallel_configs must be >= 1")
-        if self.shards_per_worker < 1:
-            raise ValueError("shards_per_worker must be >= 1")
-        if self.transport not in ("memmap", "pickle"):
-            raise ValueError(f"unknown transport {self.transport!r}")
-
-    @property
-    def shards(self) -> int:
-        """Target shard count for one sweep."""
-        return self.workers * self.shards_per_worker
-
-
-# ----------------------------------------------------------------------
-# the ambient plan
-# ----------------------------------------------------------------------
-
-_ACTIVE_PLAN: ExecutionPlan | None = None
-
-
-def active_plan() -> ExecutionPlan | None:
-    """The currently installed plan, or ``None`` (inline execution)."""
-    return _ACTIVE_PLAN
-
-
-def activate(plan: ExecutionPlan | None) -> ExecutionPlan | None:
-    """Install ``plan`` as the ambient plan; returns the previous one."""
-    global _ACTIVE_PLAN
-    previous = _ACTIVE_PLAN
-    _ACTIVE_PLAN = plan
-    return previous
-
-
-@contextmanager
-def parallel_plan(
-    workers: int = 1,
-    cache_dir: str | pathlib.Path | None = None,
-    **options: object,
-) -> Iterator[ExecutionPlan]:
-    """Activate an :class:`ExecutionPlan` for a ``with`` block.
-
-    ``cache_dir`` opens (creating if needed) a persistent
-    :class:`~repro.core.cache.ResultCache` there.  Extra keyword options
-    are passed through to :class:`ExecutionPlan`.  The previous plan is
-    restored on exit.
-    """
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    plan = ExecutionPlan(workers=workers, cache=cache, **options)
-    previous = activate(plan)
-    try:
-        yield plan
-    finally:
-        activate(previous)
-
-
 # ----------------------------------------------------------------------
 # host capacity
 # ----------------------------------------------------------------------
@@ -205,8 +120,8 @@ def effective_workers(requested: int) -> int:
     Sharding across more processes than cores is a recorded pessimization
     (0.67x at 4 workers on a 1-CPU host, ``parallel_speedup.json``):
     every extra process adds dispatch and serialization cost but no
-    parallel compute.  :func:`evaluate_plan` routes through this clamp
-    and falls back to the inline single-process engine when it yields 1.
+    parallel compute.  The planner shards at this width and never shards
+    when it yields 1.
     """
     return max(1, min(requested, available_cpus()))
 
@@ -342,10 +257,10 @@ def _field_dtype(name: str) -> type:
 def _worker_shard(task: tuple) -> tuple[int, float, dict | None]:
     """Evaluate one shard in a worker process.
 
-    Runs the plain single-process engine on the subspace (no plan, no
+    Runs the plain single-process engine on the subspace (no context, no
     caches — the parent owns those) and either writes the result arrays
     into the shared scratch memmaps at the shard's offset, or returns
-    them for the pickle transport.
+    them pickled when the parent has no scratch space.
     """
     (
         index,
@@ -395,7 +310,6 @@ def _scratch_dir() -> str:
 
 
 def _run_sharded(
-    plan: ExecutionPlan,
     workers: int,
     model,
     space: object,
@@ -403,29 +317,29 @@ def _run_sharded(
     queueing: str,
     service_overlap: bool,
 ) -> vectorized.VectorizedEvaluation:
-    """Fan a sweep out across the worker pool and reassemble in order.
+    """Fan a sweep out across ``workers`` processes and reassemble in order.
 
-    ``workers`` is the *effective* (CPU-clamped) worker count — the
-    plan's requested count is only an upper bound.
+    Shards at exactly ``workers`` width: the planner passes the
+    CPU-clamped count (:func:`effective_workers`); benchmarks call this
+    directly to time sharding on hosts where the planner would decline.
     """
-    shards = shard_space(space, workers * plan.shards_per_worker)
+    shards = shard_space(space, workers * SHARDS_PER_WORKER)
     total = sum(length for _, length, _ in shards)
 
     scratch: str | None = None
-    if plan.transport == "memmap":
-        try:
-            scratch = _scratch_dir()
-            for name in ARRAY_FIELDS:
-                np.memmap(
-                    os.path.join(scratch, f"{name}.bin"),
-                    dtype=_field_dtype(name),
-                    mode="w+",
-                    shape=(total,),
-                ).flush()
-        except OSError:  # no writable scratch space: fall back to pickle
-            if scratch is not None:
-                shutil.rmtree(scratch, ignore_errors=True)
-            scratch = None
+    try:
+        scratch = _scratch_dir()
+        for name in ARRAY_FIELDS:
+            np.memmap(
+                os.path.join(scratch, f"{name}.bin"),
+                dtype=_field_dtype(name),
+                mode="w+",
+                shape=(total,),
+            ).flush()
+    except OSError:  # no writable scratch space: fall back to pickle
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
+        scratch = None
 
     try:
         pool = _pool(workers)
@@ -482,78 +396,4 @@ def _run_sharded(
         obs.add("parallel.sweeps")
         obs.add("parallel.shards", len(shards))
         obs.add("parallel.configs", total)
-    return result
-
-
-def evaluate_plan(
-    plan: ExecutionPlan,
-    model,
-    space: object,
-    class_name: str | None,
-    queueing: str,
-    service_overlap: bool,
-    cacheable: bool = True,
-    record_strategy: bool = False,
-) -> vectorized.VectorizedEvaluation:
-    """Evaluate a space under ``plan``: disk cache, then shards or inline.
-
-    This is the dispatch point :func:`repro.core.vectorized.evaluate_configs`
-    routes through (via :func:`repro.core.planner.execute`) while a plan
-    is active.  ``cacheable`` is false for ad-hoc candidate subsets (the
-    pruned search's chunks), which would only fill the disk cache with
-    junk entries.  ``record_strategy`` counts the branch actually taken
-    into the planner's labeled ``plan_selected`` metric.
-    """
-    from repro.core import planner as _planner
-
-    cls = class_name or model.inputs.baseline_class
-    identity = None
-    if plan.cache is not None and cacheable:
-        identity = entry_identity(model, space, cls, queueing, service_overlap)
-        cached = plan.cache.get(identity)
-        if cached is not None:
-            if record_strategy:
-                _planner.record_selection("cached")
-            return cached
-
-    size = _space_size(space)
-    workers = (
-        effective_workers(plan.workers) if plan.clamp_workers else plan.workers
-    )
-    if workers < plan.workers:
-        # sharding beyond the CPUs available is the recorded 0.67x
-        # pessimization; record the clamp so operators can see it
-        obs.add("parallel.worker_clamps")
-    if workers > 1 and size >= plan.min_parallel_configs:
-        if record_strategy:
-            _planner.record_selection("sharded")
-        if not obs.active():
-            result = _run_sharded(
-                plan, workers, model, space, cls, queueing, service_overlap
-            )
-        else:
-            with obs.span(
-                "parallel_evaluate",
-                workers=workers,
-                workers_requested=plan.workers,
-                configs=size,
-            ) as sp:
-                result = _run_sharded(
-                    plan, workers, model, space, cls, queueing, service_overlap
-                )
-                sp.set(transport=plan.transport)
-    else:
-        if plan.workers > 1 and size >= plan.min_parallel_configs:
-            # the sweep was big enough to shard but the host is not:
-            # fall back to the inline single-process engine
-            obs.add("parallel.clamped_inline_sweeps")
-        obs.add("parallel.inline_sweeps")
-        if record_strategy:
-            _planner.record_selection("vectorized")
-        result = vectorized._compute(
-            model, space, cls, queueing, service_overlap
-        )
-
-    if identity is not None:
-        plan.cache.put(identity, result)
     return result

@@ -1,26 +1,31 @@
-"""Adaptive execution planner + block-streamed huge-space evaluation.
+"""Execution planner + block-streamed huge-space evaluation.
 
-The repo grew four ways to answer "evaluate this ``(n, c, f)`` space":
-the scalar reference loop (:meth:`~repro.core.model.HybridProgramModel.predict`
-per point), the vectorized broadcast engine
-(:func:`repro.core.vectorized._compute`), the sharded multiprocess engine
-(:mod:`repro.core.parallel`) and the caches (in-memory LRU + persistent
-:class:`~repro.core.cache.ResultCache`).  Nothing *chose* between them —
-the parallel bench even recorded a 0.67x "speedup" sharding 4 ways on a
-1-CPU host.  This module adds the missing decision layer plus a
-block-streamed execution mode for spaces too large to materialize:
+:func:`execute` is the one dispatch point every configuration-space
+evaluation (:func:`repro.core.vectorized._evaluate`) goes through.  It
+reads the ambient :class:`~repro.context.ExecutionContext` and lets
+:func:`decide` pick one of three strategies:
+
+* ``cached`` — a warm entry of the context's persistent
+  :class:`~repro.core.cache.ResultCache`;
+* ``vectorized`` — the broadcast engine
+  (:func:`repro.core.vectorized._compute`), block-streamed when the
+  sweep's working set exceeds the context's ``max_block_bytes``;
+* ``sharded`` — the multiprocess engine (:mod:`repro.core.parallel`),
+  a candidate only when ``min(workers, cpus) > 1``.
+
+The scalar reference loop
+(:meth:`~repro.core.model.HybridProgramModel.predict` per point) is not a
+strategy: it is 48-805x slower than vectorized at every measured size
+of 216 configurations or more, and it stays the reference in tests.
 
 * **Cost model** (:class:`CostModel`): per-strategy wall-time estimates,
   either *calibrated* from the committed bench reports
   (``benchmarks/out/vectorized_speedup.json`` +
   ``parallel_speedup.json`` via :func:`calibrate` / ``repro plan
   calibrate``) or a conservative static *fallback* table.
-* **Decision** (:func:`decide`): picks ``cached`` / ``scalar`` /
-  ``vectorized`` / ``sharded`` per request from the cost model, the
-  space size, the ambient :class:`~repro.core.parallel.ExecutionPlan`
-  and the host's CPU affinity mask.  Hard invariant, pinned by a
-  regression test: **an effective single-CPU host never selects
-  ``sharded``**, whatever the cost model says.
+* **Decision** (:func:`decide`): hard invariant, pinned by a regression
+  test: **an effective single-CPU host never selects ``sharded``**,
+  whatever the cost model says.
 * **Streaming** (:func:`iter_block_spaces`, :func:`stream_blocks`,
   :func:`evaluate_space_streamed`, :func:`stream_topk`,
   :func:`stream_pareto`): evaluates a space in contiguous flat-order
@@ -31,13 +36,9 @@ block-streamed execution mode for spaces too large to materialize:
   lanes), and the reductions replicate NumPy's stable tie-breaking
   exactly.  The property suite pins this contract.
 
-The planner only takes charge when a :class:`PlannerConfig` is active
-(``repro --plan/--max-block-bytes``, :func:`planner_config`, or a
-``repro serve`` instance); without one, execution follows the legacy
-ambient-:class:`~repro.core.parallel.ExecutionPlan` dispatch unchanged,
-so explicit operator plans (and the tests pinning them) keep their exact
-semantics.  Every selection is recorded as a labeled counter exported as
-``repro_plan_selected_total{strategy="…"}``.  See ``docs/PLANNER.md``.
+Every strategy returns the same bytes; only the
+``repro_plan_selected_total{strategy="…"}`` label records which one ran.
+See ``docs/PLANNER.md``.
 """
 
 from __future__ import annotations
@@ -45,14 +46,13 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import threading
-from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 import numpy as np
 
 from repro import obs
+from repro.context import current
 from repro.core import parallel, vectorized
 from repro.core.cache import ARRAY_FIELDS, entry_identity
 from repro.core.model import HybridProgramModel, Prediction
@@ -61,12 +61,7 @@ from repro.core.vectorized import VectorizedEvaluation
 from repro.units import MIB
 
 #: Execution strategies the planner chooses between.
-PLAN_STRATEGIES = ("cached", "scalar", "vectorized", "sharded")
-
-#: ``--plan`` modes: ``auto`` consults the cost model, the rest force one
-#: strategy (``sharded`` still degrades to ``vectorized`` on a host whose
-#: affinity mask yields a single effective worker).
-PLAN_MODES = ("auto", "scalar", "vectorized", "sharded")
+PLAN_STRATEGIES = ("cached", "vectorized", "sharded")
 
 #: Default streaming budget: bounds the *working set* of one evaluation
 #: block (result rows + broadcast temporaries), not the final output.
@@ -105,8 +100,7 @@ class CalibrationError(ValueError):
 class CostModel:
     """Per-strategy wall-time estimates, linear in the space size.
 
-    ``scalar`` costs ``size * scalar_per_config_s``; ``vectorized`` pays
-    a fixed base (table lookups, array setup) plus a per-config slope;
+    ``vectorized`` pays a fixed base (table lookups, array setup) plus a per-config slope;
     ``sharded`` divides the vectorized slope across effective workers
     but adds fixed dispatch plus per-config transport overhead (memmap
     write + read-back); ``cached`` models a warm
@@ -117,7 +111,6 @@ class CostModel:
     """
 
     source: str
-    scalar_per_config_s: float
     vectorized_base_s: float
     vectorized_per_config_s: float
     shard_dispatch_s: float
@@ -127,14 +120,12 @@ class CostModel:
     cpus: int = 1
 
     def __post_init__(self) -> None:
-        """Reject non-positive core rates (degenerate fits)."""
-        if self.scalar_per_config_s <= 0 or self.vectorized_per_config_s <= 0:
+        """Reject a non-positive vectorized rate (degenerate fit)."""
+        if self.vectorized_per_config_s <= 0:
             raise CalibrationError("per-config costs must be positive")
 
     def estimate(self, strategy: str, size: int, workers: int = 1) -> float:
         """Estimated wall seconds for ``strategy`` over ``size`` configs."""
-        if strategy == "scalar":
-            return size * self.scalar_per_config_s
         if strategy == "vectorized":
             return self.vectorized_base_s + size * self.vectorized_per_config_s
         if strategy == "sharded":
@@ -158,7 +149,6 @@ class CostModel:
             "kind": CALIBRATION_KIND,
             "format_version": CALIBRATION_VERSION,
             "source": self.source,
-            "scalar_per_config_s": self.scalar_per_config_s,
             "vectorized_base_s": self.vectorized_base_s,
             "vectorized_per_config_s": self.vectorized_per_config_s,
             "shard_dispatch_s": self.shard_dispatch_s,
@@ -170,7 +160,11 @@ class CostModel:
 
     @classmethod
     def from_doc(cls, doc: dict[str, Any]) -> "CostModel":
-        """Rebuild a model from :meth:`to_doc` output, validated."""
+        """Rebuild a model from :meth:`to_doc` output, validated.
+
+        Unknown keys are ignored, so calibrations that still carry the
+        retired ``scalar_per_config_s`` rate keep loading.
+        """
         if not isinstance(doc, dict) or doc.get("kind") != CALIBRATION_KIND:
             raise CalibrationError("not a repro planner calibration document")
         if doc.get("format_version") != CALIBRATION_VERSION:
@@ -180,7 +174,6 @@ class CostModel:
         try:
             return cls(
                 source=str(doc["source"]),
-                scalar_per_config_s=float(doc["scalar_per_config_s"]),
                 vectorized_base_s=float(doc["vectorized_base_s"]),
                 vectorized_per_config_s=float(doc["vectorized_per_config_s"]),
                 shard_dispatch_s=float(doc["shard_dispatch_s"]),
@@ -196,14 +189,13 @@ class CostModel:
 
 
 #: The conservative static table used when no calibration exists.  The
-#: orders of magnitude come from the committed bench reports (scalar
-#: ~0.6 ms/config, vectorized ~1 µs/config after a ~2 ms base); the
-#: shard dispatch cost is deliberately pessimistic so auto mode only
-#: shards sweeps large enough (> ~10^5 configs at 4 workers) to clearly
-#: amortize process fan-out.
+#: orders of magnitude come from the committed bench reports (vectorized
+#: ~1 µs/config after a ~2 ms base); the shard dispatch cost is
+#: deliberately pessimistic so the planner only shards sweeps large
+#: enough (> ~10^5 configs at 4 workers) to clearly amortize process
+#: fan-out.
 FALLBACK_COST_MODEL = CostModel(
     source="fallback",
-    scalar_per_config_s=5e-4,
     vectorized_base_s=2e-3,
     vectorized_per_config_s=1e-6,
     shard_dispatch_s=5e-2,
@@ -223,12 +215,12 @@ def calibrate(
 ) -> CostModel:
     """Fit a :class:`CostModel` from the committed bench reports.
 
-    Reads ``vectorized_speedup.json`` (scalar vs. vectorized vs. cached
-    timings over several sizes — the per-config scalar rate, the
-    vectorized base+slope least-squares fit and the cache read base) and,
-    when present, ``parallel_speedup.json`` (single vs. sharded timing at
-    one large size — the shard transport overhead, the per-config warm
-    cache read rate and the calibration host's CPU count).  Raises
+    Reads ``vectorized_speedup.json`` (vectorized and cached timings over
+    several sizes — the vectorized base+slope least-squares fit and the
+    cache read base) and, when present, ``parallel_speedup.json`` (single
+    vs. sharded timing at one large size — the shard transport overhead,
+    the per-config warm cache read rate and the calibration host's CPU
+    count).  Raises
     :class:`CalibrationError` when the vectorized report is missing or
     unusable; missing parallel data falls back to the static table's
     shard/cache rates.
@@ -241,23 +233,20 @@ def calibrate(
         )
     cases = vec_doc.get("extra", {}).get("cases", [])
     points = []
-    scalar_rates = []
     cache_bases = []
     for case in cases:
         try:
             configs = int(case["configs"])
-            scalar_s = float(case["scalar_s"])
             vectorized_s = float(case["vectorized_s"])
         except (KeyError, TypeError, ValueError):
             continue
-        if configs < 1 or scalar_s <= 0 or vectorized_s <= 0:
+        if configs < 1 or vectorized_s <= 0:
             continue
         points.append((configs, vectorized_s))
-        scalar_rates.append(scalar_s / configs)
         cached_s = case.get("cached_s")
         if isinstance(cached_s, (int, float)) and cached_s > 0:
             cache_bases.append(float(cached_s))
-    if not points or not scalar_rates:
+    if not points:
         raise CalibrationError("vectorized_speedup.json has no usable cases")
 
     fallback = FALLBACK_COST_MODEL
@@ -300,7 +289,6 @@ def calibrate(
         slope, base = seconds[0] / sizes[0], 0.0
     return CostModel(
         source="calibrated",
-        scalar_per_config_s=float(min(scalar_rates)),
         vectorized_base_s=float(max(0.0, base)),
         vectorized_per_config_s=float(max(1e-9, slope)),
         shard_dispatch_s=float(shard_dispatch),
@@ -358,14 +346,11 @@ def invalidate_cost_model_cache() -> None:
 
 
 def resolve_cost_model() -> CostModel:
-    """The cost model in effect: config > env calibration > fallback.
+    """The cost model in effect: env calibration, else the fallback.
 
     An unusable file named by ``REPRO_PLANNER_CALIBRATION`` degrades to
     the fallback table (the planner must always be able to decide).
     """
-    cfg = active_config()
-    if cfg is not None and cfg.cost_model is not None:
-        return cfg.cost_model
     path = os.environ.get(CALIBRATION_ENV)
     if path:
         model = _COST_MODEL_CACHE.get(path)
@@ -377,73 +362,6 @@ def resolve_cost_model() -> CostModel:
             _COST_MODEL_CACHE[path] = model
         return model
     return FALLBACK_COST_MODEL
-
-
-# ----------------------------------------------------------------------
-# the ambient planner configuration (thread-local)
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PlannerConfig:
-    """How the planner decides while this config is active.
-
-    ``mode`` forces one strategy or lets the cost model choose
-    (``auto``); ``max_block_bytes`` bounds the streamed working set (and
-    makes over-budget sweeps stream); ``cost_model`` overrides
-    :func:`resolve_cost_model`; ``allow_scalar`` lets callers whose
-    responses must be byte-stable across space sizes (``repro serve``)
-    exclude the scalar strategy, whose results match the vectorized path
-    only to 1e-9, not bit-for-bit.
-    """
-
-    mode: str = "auto"
-    max_block_bytes: int | None = None
-    cost_model: CostModel | None = None
-    allow_scalar: bool = True
-
-    def __post_init__(self) -> None:
-        """Validate the mode and the block budget."""
-        if self.mode not in PLAN_MODES:
-            raise ValueError(
-                f"unknown plan mode {self.mode!r}; choose from {PLAN_MODES}"
-            )
-        if self.max_block_bytes is not None and self.max_block_bytes < 1:
-            raise ValueError("max_block_bytes must be >= 1")
-
-
-#: Thread-local holder: `repro serve` evaluates queries on worker
-#: threads, so per-request configs must not race across requests.
-_TLS = threading.local()
-
-
-def active_config() -> PlannerConfig | None:
-    """The planner config active on this thread, or ``None`` (legacy)."""
-    return getattr(_TLS, "config", None)
-
-
-def activate_config(config: PlannerConfig | None) -> PlannerConfig | None:
-    """Install ``config`` on this thread; returns the previous one."""
-    previous = active_config()
-    _TLS.config = config
-    return previous
-
-
-@contextmanager
-def planner_config(
-    config: PlannerConfig | None = None, /, **options: Any
-) -> Iterator[PlannerConfig]:
-    """Activate a :class:`PlannerConfig` for a ``with`` block.
-
-    Pass a prebuilt config positionally, or keyword options forwarded to
-    :class:`PlannerConfig`.  The previous config is restored on exit.
-    """
-    cfg = config if config is not None else PlannerConfig(**options)
-    previous = activate_config(cfg)
-    try:
-        yield cfg
-    finally:
-        activate_config(previous)
 
 
 # ----------------------------------------------------------------------
@@ -482,53 +400,47 @@ def decide(
     workers: int = 1,
     cpus: int | None = None,
     cache_hit: bool = False,
-    mode: str = "auto",
     cost_model: CostModel | None = None,
     max_block_bytes: int | None = None,
-    allow_scalar: bool = True,
     min_parallel_configs: int | None = None,
     record: bool = False,
 ) -> PlanDecision:
     """Choose an execution strategy for a sweep of ``size`` configs.
 
-    ``workers`` is the ambient plan's requested worker count and ``cpus``
-    the host's affinity-mask CPU count (defaults to
+    ``workers`` is the context's worker bound and ``cpus`` the host's
+    affinity-mask CPU count (defaults to
     :func:`repro.core.parallel.available_cpus`); sharding is only ever a
-    candidate when ``min(workers, cpus) > 1`` — a single effective CPU
-    never shards, regardless of ``mode`` or the cost model (the recorded
-    0.67x pessimization).  ``cache_hit`` marks a warm persistent-cache
-    entry; in ``auto`` mode it wins outright.  A ``max_block_bytes``
+    candidate when ``min(workers, cpus) > 1`` and the sweep reaches
+    ``min_parallel_configs`` (default
+    :data:`repro.core.parallel.MIN_PARALLEL_CONFIGS`) — a single
+    effective CPU never shards, regardless of the cost model (the
+    recorded 0.67x pessimization).  ``cache_hit`` marks a warm
+    persistent-cache entry, which wins outright.  A ``max_block_bytes``
     budget smaller than the sweep's working set forces the streamed
     vectorized path (memory beats speed).  With ``record`` the selection
     is counted into the labeled ``plan_selected`` metric.
     """
     if size < 0:
         raise ValueError("size must be >= 0")
-    if mode not in PLAN_MODES:
-        raise ValueError(f"unknown plan mode {mode!r}; choose from {PLAN_MODES}")
     if not obs.active():
         decision = _decide(
             size,
             workers,
             cpus,
             cache_hit,
-            mode,
             cost_model,
             max_block_bytes,
-            allow_scalar,
             min_parallel_configs,
         )
     else:
-        with obs.span("plan_decision", size=size, mode=mode) as sp:
+        with obs.span("plan_decision", size=size) as sp:
             decision = _decide(
                 size,
                 workers,
                 cpus,
                 cache_hit,
-                mode,
                 cost_model,
                 max_block_bytes,
-                allow_scalar,
                 min_parallel_configs,
             )
             sp.set(
@@ -547,28 +459,28 @@ def _decide(
     workers: int,
     cpus: int | None,
     cache_hit: bool,
-    mode: str,
     cost_model: CostModel | None,
     max_block_bytes: int | None,
-    allow_scalar: bool,
     min_parallel_configs: int | None,
 ) -> PlanDecision:
     cm = cost_model if cost_model is not None else resolve_cost_model()
-    host_cpus = cpus if cpus is not None else parallel.available_cpus()
-    eff = max(1, min(workers, host_cpus))
+    eff = 1
+    if workers > 1:
+        eff = (
+            parallel.effective_workers(workers)
+            if cpus is None
+            else max(1, min(workers, cpus))
+        )
     min_parallel = (
         min_parallel_configs
         if min_parallel_configs is not None
-        else parallel.DEFAULT_MIN_PARALLEL_CONFIGS
+        else parallel.MIN_PARALLEL_CONFIGS
     )
     streamed = (
         max_block_bytes is not None
         and size * WORKING_BYTES_PER_CONFIG > max_block_bytes
     )
-    estimates = [
-        ("scalar", cm.estimate("scalar", size)),
-        ("vectorized", cm.estimate("vectorized", size)),
-    ]
+    estimates = [("vectorized", cm.estimate("vectorized", size))]
     if eff > 1:
         estimates.append(("sharded", cm.estimate("sharded", size, eff)))
     if cache_hit:
@@ -585,23 +497,6 @@ def _decide(
             estimates=table,
         )
 
-    if mode != "auto":
-        if mode == "sharded":
-            if eff <= 1:
-                return result(
-                    "vectorized",
-                    "forced sharded degraded: a single effective CPU never "
-                    "shards (recorded 0.67x pessimization)",
-                )
-            if streamed:
-                return result(
-                    "vectorized",
-                    "forced sharded degraded: the max-block-bytes budget "
-                    "requires the streamed vectorized path",
-                )
-            return result("sharded", "forced by plan mode")
-        return result(mode, "forced by plan mode")
-
     if cache_hit:
         return result("cached", "warm persistent-cache entry")
     if streamed:
@@ -612,8 +507,6 @@ def _decide(
     candidates = ["vectorized"]
     if eff > 1 and size >= min_parallel:
         candidates.append("sharded")
-    if allow_scalar:
-        candidates.append("scalar")
     by_name = dict(table)
     best = min(candidates, key=lambda name: by_name[name])
     return result(
@@ -621,65 +514,6 @@ def _decide(
         f"cheapest estimate ({cm.source} cost model: "
         + ", ".join(f"{n}={by_name[n]:.3g}s" for n in candidates)
         + ")",
-    )
-
-
-# ----------------------------------------------------------------------
-# the scalar strategy
-# ----------------------------------------------------------------------
-
-
-def _scalar_compute(
-    model: HybridProgramModel,
-    space: object,
-    class_name: str,
-    queueing: str,
-    service_overlap: bool,
-) -> VectorizedEvaluation:
-    """Evaluate via the scalar reference loop, packed as aligned arrays.
-
-    One :meth:`~repro.core.model.HybridProgramModel.predict` call per
-    configuration, in canonical space order.  Results agree with the
-    vectorized engine to the pinned 1e-9 tolerance (not bit-for-bit),
-    which is why byte-stable callers exclude this strategy
-    (:attr:`PlannerConfig.allow_scalar`).
-    """
-    cfgs = tuple(space)
-    preds = [
-        model.predict(
-            cfg, class_name, queueing=queueing, service_overlap=service_overlap
-        )
-        for cfg in cfgs
-    ]
-    space_ref = space if vectorized._is_grid(space) else cfgs
-
-    def column(values: list, dtype: type = np.float64) -> np.ndarray:
-        arr = np.array(values, dtype=dtype)
-        arr.setflags(write=False)
-        return arr
-
-    return VectorizedEvaluation(
-        class_name=class_name,
-        space=space_ref,
-        nodes=column([c.nodes for c in cfgs]),
-        cores=column([c.cores for c in cfgs]),
-        frequencies_hz=column([c.frequency_hz for c in cfgs]),
-        t_cpu_s=column([p.time.t_cpu_s for p in preds]),
-        t_mem_s=column([p.time.t_mem_s for p in preds]),
-        t_net_service_s=column([p.time.t_net_service_s for p in preds]),
-        t_net_wait_s=column([p.time.t_net_wait_s for p in preds]),
-        utilization_baseline=column(
-            [p.time.utilization_baseline for p in preds]
-        ),
-        rho_network=column([p.time.rho_network for p in preds]),
-        saturated=column([p.time.saturated for p in preds], dtype=np.bool_),
-        cpu_j=column([p.energy.cpu_j for p in preds]),
-        mem_j=column([p.energy.mem_j for p in preds]),
-        net_j=column([p.energy.net_j for p in preds]),
-        idle_j=column([p.energy.idle_j for p in preds]),
-        times_s=column([p.time_s for p in preds]),
-        energies_j=column([p.energy_j for p in preds]),
-        ucrs=column([p.ucr for p in preds]),
     )
 
 
@@ -1240,94 +1074,54 @@ def execute(
     cacheable: bool = True,
     instrument: bool = True,
 ) -> VectorizedEvaluation:
-    """Run one space evaluation under the planner's chosen strategy.
+    """Run one space evaluation under the ambient execution context.
 
-    This is the dispatch point :func:`repro.core.vectorized._evaluate`
-    routes through.  Without an active :class:`PlannerConfig` the legacy
-    semantics apply unchanged: an ambient
-    :class:`~repro.core.parallel.ExecutionPlan` dispatches through
-    :func:`~repro.core.parallel.evaluate_plan` (operator contract —
-    explicit plans keep their exact behavior, including
-    ``clamp_workers=False``), otherwise the plain broadcast engine runs.
-    With a config, :func:`decide` picks the strategy and this function
-    executes it, handling the persistent disk cache around whichever
-    strategy ran.
+    This is the only dispatch point :func:`repro.core.vectorized._evaluate`
+    routes through.  The context's persistent cache is read first (unless
+    ``cacheable`` is false, as for the pruned search's ad-hoc chunks);
+    :func:`decide` then picks the strategy, and a fresh result is written
+    back to the cache.  ``instrument`` records the selection into the
+    labeled ``plan_selected`` metric.
     """
-    cfg = active_config()
-    plan = parallel.active_plan()
+    context = current()
     cls = class_name or model.inputs.baseline_class
-
-    if cfg is None:
-        if plan is not None:
-            return parallel.evaluate_plan(
-                plan,
-                model,
-                space,
-                class_name,
-                queueing,
-                service_overlap,
-                cacheable=cacheable,
-                record_strategy=instrument,
-            )
-        result = vectorized._compute(
-            model, space, cls, queueing, service_overlap, instrument
-        )
-        if instrument:
-            record_selection("vectorized")
-        return result
-
     size = parallel._space_size(space)
-    workers = plan.workers if plan is not None else 1
     identity = None
-    cache_hit = False
-    if plan is not None and plan.cache is not None and cacheable:
+    cached = None
+    if context.cache is not None and cacheable:
         identity = entry_identity(model, space, cls, queueing, service_overlap)
-        cache_hit = plan.cache.contains(identity)
+        cached = context.cache.get(identity)
     decision = decide(
         size,
-        workers=workers,
-        cache_hit=cache_hit,
-        mode=cfg.mode,
-        cost_model=cfg.cost_model,
-        max_block_bytes=cfg.max_block_bytes,
-        allow_scalar=cfg.allow_scalar,
-        min_parallel_configs=(
-            plan.min_parallel_configs if plan is not None else None
-        ),
+        workers=context.workers,
+        cache_hit=cached is not None,
+        max_block_bytes=context.max_block_bytes,
         record=instrument,
     )
-
-    if decision.strategy == "cached":
-        assert plan is not None and plan.cache is not None
-        cached = plan.cache.get(identity)
-        if cached is not None:
-            return cached
-        # torn/foreign entry rejected between probe and read: fall
-        # through to a fresh computation
-        decision = replace(decision, strategy="vectorized")
+    if cached is not None:
+        return cached
 
     if decision.strategy == "sharded":
-        assert plan is not None
-        eff = parallel.effective_workers(workers)
-        result = parallel._run_sharded(
-            plan, eff, model, space, cls, queueing, service_overlap
-        )
-    elif decision.strategy == "scalar":
-        result = _scalar_compute(model, space, cls, queueing, service_overlap)
+        with obs.span(
+            "parallel_evaluate", workers=decision.workers, configs=size
+        ):
+            result = parallel._run_sharded(
+                decision.workers, model, space, cls, queueing, service_overlap
+            )
     elif decision.streamed:
-        assert cfg.max_block_bytes is not None
+        assert context.max_block_bytes is not None
         result = evaluate_space_streamed(
             model,
             space,
             cls,
             queueing=queueing,
             service_overlap=service_overlap,
-            max_block_bytes=cfg.max_block_bytes,
+            max_block_bytes=context.max_block_bytes,
         )
     else:
         result = vectorized._compute(
             model, space, cls, queueing, service_overlap, instrument
         )
-    if identity is not None and plan is not None and plan.cache is not None:
-        plan.cache.put(identity, result)
+    if identity is not None:
+        context.cache.put(identity, result)
     return result

@@ -48,19 +48,20 @@ _CHUNK_SIZE = 32
 
 
 def _effective_chunk_size() -> int:
-    """The candidate block size under the ambient execution plan.
+    """The candidate block size under the ambient execution context.
 
-    With a multi-worker :class:`~repro.core.parallel.ExecutionPlan`
-    active, blocks grow by the plan's shard count so each block can fan
-    out across the worker pool (the search stays exact either way: block
-    size only trades pruning tightness against parallel width).
+    With more than one worker allowed, blocks grow by the shard count so
+    each block can fan out across the worker pool (the search stays exact
+    either way: block size only trades pruning tightness against
+    parallel width).
     """
-    from repro.core import parallel
+    from repro.context import current
+    from repro.core.parallel import SHARDS_PER_WORKER
 
-    plan = parallel.active_plan()
-    if plan is None or plan.workers <= 1:
+    workers = current().workers
+    if workers <= 1:
         return _CHUNK_SIZE
-    return _CHUNK_SIZE * plan.shards
+    return _CHUNK_SIZE * workers * SHARDS_PER_WORKER
 
 
 @dataclass(frozen=True)

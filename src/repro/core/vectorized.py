@@ -372,11 +372,9 @@ def _evaluate(
         if use_cache
         else None
     )
-    # The planner is the single dispatch point: with no active
-    # PlannerConfig it reproduces the legacy routing exactly (ambient
-    # ExecutionPlan -> sharded engine + disk cache, else the broadcast
-    # engine); with one, a cost-model decision picks the strategy.  The
-    # import is deferred: repro.core.planner imports this module.
+    # The planner is the single dispatch point: under the ambient
+    # execution context it reads the disk cache and picks the strategy.
+    # The import is deferred: repro.core.planner imports this module.
     from repro.core import planner as _planner
 
     if key is not None:
@@ -410,7 +408,7 @@ def _compute(
 ) -> VectorizedEvaluation:
     """The single-process broadcast engine (no caches, no dispatch).
 
-    This is the reference vectorized path: the ambient-plan dispatch in
+    This is the reference vectorized path: the planner dispatch behind
     :func:`_evaluate` and every shard of the multiprocess engine
     (:mod:`repro.core.parallel`) call exactly this function, which is why
     sharded results are bit-identical to single-process ones.

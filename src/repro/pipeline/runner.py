@@ -4,9 +4,10 @@
 selected stage's content fingerprint from live input files + params +
 upstream output digests, and executes **only** stages whose fingerprint
 has no entry in the artifact store.  Independent stages fan out across a
-thread pool when ``workers > 1`` (each stage's internal work still
-routes through the ambient :class:`~repro.core.parallel.ExecutionPlan`
-and planner config installed by the global CLI flags).
+thread pool when ``workers > 1``; every stage runs in a copy of the
+caller's :class:`~repro.context.ExecutionContext`, so the worker bound,
+cache, block budget and resilience layer installed by the global CLI
+flags reach the pool threads exactly as they reach a serial run.
 
 :func:`pipeline_status` answers "what would run, and why" without
 executing anything: per stage it reports ``fresh`` / ``stale`` /
@@ -27,6 +28,7 @@ one (:class:`repro.resilience.checkpoint.Checkpoint` would refuse with a
 
 from __future__ import annotations
 
+import contextvars
 import pathlib
 import shutil
 import time
@@ -224,7 +226,11 @@ def run_pipeline(
                             "pipeline wave deadlock; remaining: "
                             f"{[s.name for s in pending]}"
                         )
-                    for future in [pool.submit(_visit, s) for s in wave]:
+                    futures = [
+                        pool.submit(contextvars.copy_context().run, _visit, s)
+                        for s in wave
+                    ]
+                    for future in futures:
                         future.result()
                     done.update(s.name for s in wave)
                     pending = [s for s in pending if s.name not in done]

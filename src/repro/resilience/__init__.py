@@ -2,13 +2,18 @@
 
 Every simulated instrument read in :mod:`repro.measure` routes its result
 through :func:`call`.  The default backend is **off**: with no context
-enabled a call costs one module-global ``None`` check plus one closure
+enabled a call costs one context-variable read plus one closure
 invocation, so the wrappers stay compiled-in everywhere (the benchmark
 gate in ``benchmarks/bench_resilience_overhead.py`` pins the disabled-path
 overhead under 2%, mirroring the ``repro.obs`` gate).
 
-With a context enabled (:func:`enable` / :func:`enabled`), each call runs
-under the :class:`~repro.resilience.policy.RetryPolicy`: a chaos schedule
+The layer is enabled by installing a :class:`ResilienceContext` in the
+ambient execution context (:func:`repro.context.use`)::
+
+    with use(resilience=ResilienceContext(RetryPolicy(), chaos)):
+        ...
+
+While it is installed, each call runs under the :class:`~repro.resilience.policy.RetryPolicy`: a chaos schedule
 (:class:`~repro.resilience.chaos.ChaosSchedule`) may drop, delay or
 corrupt individual attempts; failed attempts are retried with
 deterministic jittered exponential backoff; a sample still missing after
@@ -31,11 +36,11 @@ what the coverage record reports.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable
 
 from repro import obs
+from repro.context import current
 from repro.resilience.chaos import ChaosDecision, ChaosRule, ChaosSchedule
 from repro.resilience.policy import ResilienceError, RetryPolicy, SampleLost
 
@@ -50,9 +55,6 @@ __all__ = [
     "SampleLost",
     "active",
     "call",
-    "disable",
-    "enable",
-    "enabled",
     "get_context",
     "value_token",
 ]
@@ -87,7 +89,7 @@ class InstrumentStats:
 class ResilienceContext:
     """An enabled resilience backend: policy + optional chaos + stats."""
 
-    policy: RetryPolicy
+    policy: RetryPolicy = field(default_factory=RetryPolicy)
     chaos: ChaosSchedule | None = None
     stats: dict[str, InstrumentStats] = field(default_factory=dict)
     lost_units: dict[str, list[str]] = field(default_factory=dict)
@@ -157,47 +159,14 @@ class ResilienceContext:
         raise SampleLost(instrument, tokens, attempts)
 
 
-#: The enabled backend; ``None`` means "off" (the zero-overhead default).
-_context: ResilienceContext | None = None
-
-
-def enable(
-    policy: RetryPolicy | None = None, chaos: ChaosSchedule | None = None
-) -> ResilienceContext:
-    """Turn the resilience layer on and return its context."""
-    global _context
-    _context = ResilienceContext(policy=policy or RetryPolicy(), chaos=chaos)
-    return _context
-
-
-def disable() -> None:
-    """Back to the pass-through backend."""
-    global _context
-    _context = None
-
-
-@contextmanager
-def enabled(
-    policy: RetryPolicy | None = None, chaos: ChaosSchedule | None = None
-) -> Iterator[ResilienceContext]:
-    """Enable the layer for a ``with`` block, then restore what was active."""
-    global _context
-    prev = _context
-    ctx = enable(policy, chaos)
-    try:
-        yield ctx
-    finally:
-        _context = prev
-
-
 def active() -> bool:
-    """True while a resilience context is enabled."""
-    return _context is not None
+    """True while a resilience context is installed."""
+    return current().resilience is not None
 
 
 def get_context() -> ResilienceContext | None:
-    """The enabled context, or ``None``."""
-    return _context
+    """The installed resilience context, or ``None``."""
+    return current().resilience
 
 
 def call(
@@ -212,7 +181,7 @@ def call(
     the overhead gate pins.  ``fn`` must be idempotent: retries re-invoke
     it and expect the same underlying value.
     """
-    ctx = _context
+    ctx = current().resilience
     if ctx is None:
         return fn()
     return ctx.call(instrument, tokens, fn, corrupt)

@@ -18,7 +18,8 @@ Request path for the five query endpoints (``POST /v1/<endpoint>``):
 4. **Coalesce**: concurrent identical queries share one in-flight
    computation keyed by the query's content fingerprint; every waiter
    receives the same bytes object.
-5. **Compute** in a worker thread: models are built once per
+5. **Compute** in a worker thread, under the execution context the app
+   was created in (CLI flags, resilience): models are built once per
    ``(cluster, program)``, evaluations check the persistent
    :class:`~repro.core.cache.ResultCache` warm tier before calling the
    vectorized engine, and fresh results are written back to it.
@@ -32,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextvars
 import json
 import math
 import signal
@@ -43,11 +45,11 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import obs
+from repro.context import current, use
 from repro.core.cache import ResultCache, entry_identity
 from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel
 from repro.core.pareto import pareto_mask
-from repro.core.planner import PlannerConfig, planner_config
 from repro.core.vectorized import VectorizedEvaluation, evaluate_configs
 from repro.core.whatif import WhatIf
 from repro.machines.registry import get_cluster
@@ -139,7 +141,9 @@ class ServeApp:
     coalescer and the rate limiter; the HTTP layer (or a test) calls
     :meth:`handle` per request.  Constructing an app enables the global
     metrics registry so endpoint counters and ``/metrics`` work out of
-    the box.
+    the box, and captures the current
+    :class:`~repro.context.ExecutionContext` (worker bound, block budget,
+    resilience) that every engine evaluation then runs under.
     """
 
     def __init__(
@@ -149,8 +153,6 @@ class ServeApp:
         burst: float | None = None,
         response_cache_size: int = DEFAULT_RESPONSE_CACHE_SIZE,
         clock: Callable[[], float] = time.monotonic,
-        plan: str = "auto",
-        max_block_bytes: int | None = None,
         client_rate: float = 0.0,
         client_burst: float | None = None,
         engine_workers: int = DEFAULT_ENGINE_WORKERS,
@@ -158,13 +160,10 @@ class ServeApp:
         """Wire the caching tiers, limiter and metrics for one service."""
         if engine_workers < 1:
             raise ValueError("engine_workers must be >= 1")
-        # Per-query strategy selection (recorded in /metrics as
-        # plan_selected_total{strategy=…}).  Scalar is excluded: its
-        # results match the vectorized engine only to 1e-9, and response
-        # bytes must not depend on which strategy answered a query.
-        self._planner_config = PlannerConfig(
-            mode=plan, max_block_bytes=max_block_bytes, allow_scalar=False
-        )
+        # Per-query strategy selection runs under this context and is
+        # recorded in /metrics as plan_selected_total{strategy=…}; every
+        # strategy returns the same bytes.
+        self._context = current()
         self.result_cache = ResultCache(cache_dir) if cache_dir else None
         self.limiter = TokenBucket(rate, burst, clock=clock)
         self.client_limiter = KeyedTokenBuckets(
@@ -305,7 +304,10 @@ class ServeApp:
         """One coalesced flight: evaluate in the engine pool, serialize."""
         loop = asyncio.get_running_loop()
         doc = await loop.run_in_executor(
-            self._engine_pool, self._compute_sync, query
+            self._engine_pool,
+            contextvars.copy_context().run,
+            self._compute_sync,
+            query,
         )
         return canonical_json(doc)
 
@@ -367,7 +369,7 @@ class ServeApp:
         with self._stats_lock:
             self.engine_calls += 1
         obs.add("serve.engine_calls")
-        with planner_config(self._planner_config):
+        with use(self._context):
             result = evaluate_configs(
                 model,
                 space,
@@ -696,8 +698,6 @@ def run_server(
     rate: float = 0.0,
     burst: float | None = None,
     cache_dir: str | None = None,
-    plan: str = "auto",
-    max_block_bytes: int | None = None,
     client_rate: float = 0.0,
     client_burst: float | None = None,
     engine_workers: int = DEFAULT_ENGINE_WORKERS,
@@ -707,18 +707,15 @@ def run_server(
     ``rate``/``burst`` configure the service-wide token bucket and
     ``client_rate``/``client_burst`` the per-client buckets (0 disables
     either layer); ``cache_dir`` enables the persistent
-    :class:`ResultCache` warm tier; ``plan``/``max_block_bytes``
-    configure the per-query execution planner
-    (``repro serve --plan/--max-block-bytes``); ``engine_workers`` sizes
+    :class:`ResultCache` warm tier; ``engine_workers`` sizes
     the bounded thread pool engine evaluations run in
-    (``repro serve --engine-workers``).
+    (``repro serve --engine-workers``).  Engine evaluations run under the
+    caller's :class:`~repro.context.ExecutionContext`.
     """
     app = ServeApp(
         cache_dir=cache_dir,
         rate=rate,
         burst=burst,
-        plan=plan,
-        max_block_bytes=max_block_bytes,
         client_rate=client_rate,
         client_burst=client_burst,
         engine_workers=engine_workers,

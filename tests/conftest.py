@@ -43,13 +43,14 @@ def ambient_chaos():
         yield None
         return
     from repro import resilience
+    from repro.context import use
 
     policy = resilience.RetryPolicy(
         max_retries=int(os.environ.get("REPRO_CHAOS_RETRIES", "8"))
     )
     chaos = resilience.ChaosSchedule.load(schedule_path)
-    with resilience.enabled(policy, chaos) as context:
-        yield context
+    with use(resilience=resilience.ResilienceContext(policy, chaos)) as context:
+        yield context.resilience
 
 
 @pytest.fixture(scope="session")

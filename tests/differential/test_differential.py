@@ -159,6 +159,7 @@ class TestDegradedCalibrationDifferential:
     @pytest.fixture(scope="class")
     def degraded_model(self, arm_sim):
         from repro import resilience
+        from repro.context import use
         from repro.core.model import HybridProgramModel
         from repro.resilience.pipeline import characterize_resilient
         from repro.workloads.registry import get_program
@@ -171,7 +172,10 @@ class TestDegradedCalibrationDifferential:
             seed=1234,
             rules={"counters": resilience.ChaosRule(drop_p=0.4)},
         )
-        with resilience.enabled(resilience.RetryPolicy(max_retries=0), chaos):
+        context = resilience.ResilienceContext(
+            resilience.RetryPolicy(max_retries=0), chaos
+        )
+        with use(resilience=context):
             inputs, report = characterize_resilient(
                 arm_sim, get_program("CP")
             )

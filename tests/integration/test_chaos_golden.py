@@ -31,6 +31,7 @@ import numpy as np
 import pytest
 
 from repro import resilience
+from repro.context import use
 from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel
 from repro.machines.arm import arm_cluster
@@ -64,7 +65,10 @@ def _campaign(schedule_name: str | None):
         inputs, report = characterize_resilient(sim, program)
     else:
         chaos = resilience.ChaosSchedule.load(FIXTURES / f"{schedule_name}.json")
-        with resilience.enabled(resilience.RetryPolicy.aggressive(), chaos):
+        context = resilience.ResilienceContext(
+            resilience.RetryPolicy.aggressive(), chaos
+        )
+        with use(resilience=context):
             inputs, report = characterize_resilient(sim, program)
     model = HybridProgramModel(program=program, inputs=inputs)
     return model, report
@@ -149,12 +153,13 @@ class TestInterruptResume:
         program = get_program("CP")
         chaos = resilience.ChaosSchedule.load(FIXTURES / "schedule_a.json")
         ck = tmp_path / "baseline.json"
-        with resilience.enabled(resilience.RetryPolicy.aggressive(), chaos):
+        policy = resilience.RetryPolicy.aggressive()
+        with use(resilience=resilience.ResilienceContext(policy, chaos)):
             full, _ = characterize_resilient(
                 sim, program, baseline_checkpoint=ck
             )
         self._truncate(ck, keep=3)
-        with resilience.enabled(resilience.RetryPolicy.aggressive(), chaos):
+        with use(resilience=resilience.ResilienceContext(policy, chaos)):
             resumed, _ = characterize_resilient(
                 sim, program, baseline_checkpoint=ck
             )

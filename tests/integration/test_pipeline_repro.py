@@ -15,6 +15,9 @@ import shutil
 
 import pytest
 
+from repro import obs
+from repro.context import use
+from repro.core.vectorized import clear_evaluation_cache
 from repro.pipeline import (
     ArtifactStore,
     paper_pipeline,
@@ -137,3 +140,39 @@ def test_repro_summary_matches_paper_structure(sandbox_root, tmp_path):
     dvfs = run.artifacts["ext_dvfs_advice"]
     assert dvfs["advised_configs"] >= 1
     assert dvfs["confirmed_configs"] >= 0.6 * dvfs["advised_configs"]
+
+
+def test_jobs_keep_the_execution_context(tmp_path):
+    """Stage fan-out threads run under the caller's execution context.
+
+    Regression: the block budget used to be thread-local, so ``--jobs 2``
+    silently evaluated every space unstreamed.  Both runs must make the
+    same planner decisions and stream the same blocks, and produce
+    byte-equal fingerprints and artifacts.
+    """
+    runs = {}
+    for workers in (1, 2):
+        clear_evaluation_cache()  # make both runs reach the planner
+        registry = obs.enable_metrics()
+        try:
+            with use(max_block_bytes=4096):
+                run = run_pipeline(
+                    paper_pipeline(),
+                    ArtifactStore(tmp_path / f"store-{workers}"),
+                    workers=workers,
+                )
+            counters = (
+                registry.counter_value("planner.decisions"),
+                registry.counter_value("planner.stream_blocks"),
+            )
+        finally:
+            obs.disable()
+        runs[workers] = run, counters
+    (serial, serial_counters), (fanned, fanned_counters) = runs[1], runs[2]
+    decisions, blocks = serial_counters
+    assert decisions > 0 and blocks > 0
+    assert fanned_counters == serial_counters
+    assert [(r.name, r.fingerprint) for r in fanned.reports] == [
+        (r.name, r.fingerprint) for r in serial.reports
+    ]
+    assert _artifact_bytes(fanned) == _artifact_bytes(serial)

@@ -4,8 +4,9 @@ The planner's hard contract (docs/PLANNER.md): block-streamed execution
 returns results bit-identical to the materialized broadcast engine for
 any machine/workload/grid/budget tuple — including degenerate grids —
 and the streaming reductions (top-k, running Pareto) select exactly the
-indices the materialized reference selects.  The scalar strategy agrees
-to the repo-wide 1e-9 relative tolerance.
+indices the materialized reference selects.  The scalar reference loop
+(``model.predict`` per configuration) agrees to the repo-wide 1e-9
+relative tolerance.
 """
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import planner
 from repro.core.cache import ARRAY_FIELDS
 from repro.core.configspace import ConfigSpace
-from repro.core.parallel import ExecutionPlan, evaluate_plan
+from repro.core.parallel import _run_sharded
 from repro.core.pareto import pareto_mask
 from repro.core.planner import (
     WORKING_BYTES_PER_CONFIG,
@@ -89,10 +90,9 @@ def test_sharded_matches_materialized_bit_for_bit(data):
     model = data.draw(random_models())
     space = data.draw(spaces_for(model))
     full = _compute(model, space, None, "bracketed", True, instrument=False)
-    plan = ExecutionPlan(
-        workers=2, min_parallel_configs=1, clamp_workers=False
+    sharded = _run_sharded(
+        2, model, space, model.inputs.baseline_class, "bracketed", True
     )
-    sharded = evaluate_plan(plan, model, space, None, "bracketed", True)
     _assert_bit_identical(full, sharded)
 
 
@@ -102,13 +102,17 @@ def test_scalar_strategy_matches_vectorized_at_rtol(data):
     model = data.draw(random_models())
     space = data.draw(spaces_for(model))
     full = _compute(model, space, None, "bracketed", True, instrument=False)
-    scalar = planner._scalar_compute(
-        model, space, model.inputs.baseline_class, "bracketed", True
+    preds = [model.predict(cfg) for cfg in space]
+    np.testing.assert_allclose(
+        [p.time_s for p in preds], full.times_s, rtol=RTOL
     )
-    np.testing.assert_allclose(scalar.times_s, full.times_s, rtol=RTOL)
-    np.testing.assert_allclose(scalar.energies_j, full.energies_j, rtol=RTOL)
-    np.testing.assert_allclose(scalar.ucrs, full.ucrs, rtol=RTOL)
-    np.testing.assert_array_equal(scalar.saturated, full.saturated)
+    np.testing.assert_allclose(
+        [p.energy_j for p in preds], full.energies_j, rtol=RTOL
+    )
+    np.testing.assert_allclose([p.ucr for p in preds], full.ucrs, rtol=RTOL)
+    np.testing.assert_array_equal(
+        [p.time.saturated for p in preds], full.saturated
+    )
 
 
 # ----------------------------------------------------------------------

@@ -87,3 +87,26 @@ def test_requires_subcommand():
 def test_rejects_unknown_cluster():
     with pytest.raises(SystemExit):
         main(["netpipe", "--cluster", "power9"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--plan", "auto", "pareto", "--cluster", "xeon", "--program", "SP"],
+        ["serve", "--plan", "auto"],
+    ],
+)
+def test_plan_flag_is_a_usage_error(argv, capsys):
+    # the planner always decides; there is no mode to force
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+def test_workers_flag_leaves_output_bytes_unchanged(capsys):
+    argv = ["pareto", "--cluster", "xeon", "--program", "SP"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(["--workers", "2", *argv]) == 0
+    assert capsys.readouterr().out == plain

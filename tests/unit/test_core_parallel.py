@@ -1,4 +1,4 @@
-"""Sharded multiprocess engine: bit-identity, sharding laws, plan plumbing.
+"""Sharded multiprocess engine: bit-identity, sharding laws, context plumbing.
 
 The headline guarantee is stronger than the usual 1e-9 tolerance: sharded
 results must equal the single-process broadcast arrays *bit for bit*
@@ -9,16 +9,12 @@ identical reference engine on an order-preserving slice of the space.
 import numpy as np
 import pytest
 
-from repro.core import parallel
+from repro.context import ExecutionContext, current, use
+from repro.core import parallel, planner
+from repro.core.cache import ResultCache
 from repro.core.configspace import ConfigSpace, evaluate_space
-from repro.core.parallel import (
-    ExecutionPlan,
-    active_plan,
-    evaluate_plan,
-    parallel_plan,
-    shard_space,
-    shutdown_pool,
-)
+from repro.core.parallel import _run_sharded, shard_space, shutdown_pool
+from repro.core.search import _CHUNK_SIZE, _effective_chunk_size
 from repro.core.search import search_min_energy_within_deadline
 from repro.core.vectorized import (
     _compute,
@@ -65,41 +61,71 @@ def _assert_bit_identical(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
+#: Makes sharding the cheapest estimate at any size, so the planner
+#: shards whenever the context and the host allow it.
+CHEAP_SHARDS = planner.CostModel(
+    source="test",
+    vectorized_base_s=1.0,
+    vectorized_per_config_s=1.0,
+    shard_dispatch_s=0.0,
+    shard_overhead_per_config_s=0.0,
+    cache_read_base_s=1.0,
+    cache_read_per_config_s=1.0,
+)
+
+
+@pytest.fixture()
+def sharding_pays(monkeypatch):
+    """A 2-CPU host where sharding pays for any sweep size."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_CONFIGS", 1)
+    monkeypatch.setattr(planner, "resolve_cost_model", lambda: CHEAP_SHARDS)
+
+
+def _no_scratch_space():
+    raise OSError("no writable scratch space")
+
+
 # ----------------------------------------------------------------------
-# plan validation
+# context validation
 # ----------------------------------------------------------------------
 
 
 def test_plan_rejects_bad_knobs():
     with pytest.raises(ValueError, match="workers"):
-        ExecutionPlan(workers=0)
-    with pytest.raises(ValueError, match="min_parallel_configs"):
-        ExecutionPlan(min_parallel_configs=0)
-    with pytest.raises(ValueError, match="shards_per_worker"):
-        ExecutionPlan(shards_per_worker=0)
-    with pytest.raises(ValueError, match="transport"):
-        ExecutionPlan(transport="carrier-pigeon")
+        ExecutionContext(workers=0)
+    with pytest.raises(ValueError, match="max_block_bytes"):
+        ExecutionContext(max_block_bytes=0)
+    with pytest.raises(TypeError):
+        ExecutionContext(transport="carrier-pigeon")
 
 
 def test_plan_shard_count():
-    assert ExecutionPlan(workers=4, shards_per_worker=2).shards == 8
+    # a sweep shards into workers x SHARDS_PER_WORKER pieces, and the
+    # pruned search grows its candidate blocks by the same count
+    assert parallel.SHARDS_PER_WORKER == 2
+    with use(workers=4):
+        assert _effective_chunk_size() == _CHUNK_SIZE * 8
+    assert _effective_chunk_size() == _CHUNK_SIZE
 
 
 def test_parallel_plan_restores_previous_plan():
-    assert active_plan() is None
-    with parallel_plan(workers=2) as outer:
-        assert active_plan() is outer
-        with parallel_plan(workers=3) as inner:
-            assert active_plan() is inner
-        assert active_plan() is outer
-    assert active_plan() is None
+    before = current()
+    with use(workers=2) as outer:
+        assert current() is outer
+        with use(workers=3) as inner:
+            assert current() is inner
+            assert inner.workers == 3
+        assert current() is outer
+    assert current() is before
 
 
 def test_parallel_plan_restores_on_error():
+    before = current()
     with pytest.raises(RuntimeError):
-        with parallel_plan(workers=2):
+        with use(workers=2):
             raise RuntimeError("boom")
-    assert active_plan() is None
+    assert current() is before
 
 
 # ----------------------------------------------------------------------
@@ -163,18 +189,20 @@ def test_shard_space_rejects_zero_shards():
 
 
 @pytest.mark.parametrize("transport", ["memmap", "pickle"])
-def test_sharded_grid_bit_identical(model, transport):
+def test_sharded_grid_bit_identical(model, transport, monkeypatch):
+    if transport == "pickle":
+        monkeypatch.setattr(parallel, "_scratch_dir", _no_scratch_space)
     reference = _compute(model, GRID, None, "bracketed", True)
-    plan = ExecutionPlan(
-        workers=2, min_parallel_configs=1, transport=transport,
-        clamp_workers=False,
+    sharded = _run_sharded(
+        2, model, GRID, model.inputs.baseline_class, "bracketed", True
     )
-    sharded = evaluate_plan(plan, model, GRID, None, "bracketed", True)
     _assert_bit_identical(sharded, reference)
 
 
 @pytest.mark.parametrize("transport", ["memmap", "pickle"])
-def test_sharded_explicit_bit_identical(model, transport):
+def test_sharded_explicit_bit_identical(model, transport, monkeypatch):
+    if transport == "pickle":
+        monkeypatch.setattr(parallel, "_scratch_dir", _no_scratch_space)
     cfgs = tuple(
         config(n, c, f)
         for n in (1, 2, 5, 8)
@@ -182,29 +210,33 @@ def test_sharded_explicit_bit_identical(model, transport):
         for f in (1.2, 1.8)
     )
     reference = _compute(model, cfgs, None, "bracketed", True)
-    plan = ExecutionPlan(
-        workers=2, min_parallel_configs=1, transport=transport,
-        clamp_workers=False,
+    sharded = _run_sharded(
+        2, model, cfgs, model.inputs.baseline_class, "bracketed", True
     )
-    sharded = evaluate_plan(plan, model, cfgs, None, "bracketed", True)
     _assert_bit_identical(sharded, reference)
 
 
 def test_sharded_matches_all_queueing_variants(model):
-    plan = ExecutionPlan(
-        workers=2, min_parallel_configs=1, clamp_workers=False
-    )
     for queueing in ("bracketed", "mg1", "none"):
         reference = _compute(model, GRID, None, queueing, True)
-        sharded = evaluate_plan(plan, model, GRID, None, queueing, True)
+        sharded = _run_sharded(
+            2, model, GRID, model.inputs.baseline_class, queueing, True
+        )
         _assert_bit_identical(sharded, reference)
 
 
-def test_evaluate_space_under_plan_matches(model):
+def test_evaluate_space_under_plan_matches(model, sharding_pays):
+    from repro import obs
+
     baseline = evaluate_space(model, GRID)
     clear_evaluation_cache()
-    with parallel_plan(workers=2, min_parallel_configs=1, clamp_workers=False):
-        planned = evaluate_space(model, GRID)
+    registry = obs.enable_metrics()
+    try:
+        with use(workers=2):
+            planned = evaluate_space(model, GRID)
+        assert registry.counter_value("parallel.sweeps") == 1
+    finally:
+        obs.disable()
     assert np.array_equal(planned.times_s, baseline.times_s)
     assert np.array_equal(planned.energies_j, baseline.energies_j)
     assert np.array_equal(planned.ucrs, baseline.ucrs)
@@ -215,32 +247,33 @@ def test_evaluate_space_under_plan_matches(model):
 # ----------------------------------------------------------------------
 
 
-def test_small_sweep_runs_inline(model, monkeypatch):
+def test_small_sweep_runs_inline(model, monkeypatch, sharding_pays):
     def _forbidden(*args, **kwargs):  # pragma: no cover - fails the test
         raise AssertionError("small sweep must not shard")
 
     monkeypatch.setattr(parallel, "_run_sharded", _forbidden)
-    plan = ExecutionPlan(workers=2, min_parallel_configs=10**9)
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_CONFIGS", 10**9)
     reference = _compute(model, GRID, None, "bracketed", True)
-    inline = evaluate_plan(plan, model, GRID, None, "bracketed", True)
+    with use(workers=2):
+        inline = evaluate_configs(model, GRID, use_cache=False)
     _assert_bit_identical(inline, reference)
 
 
-def test_single_worker_plan_runs_inline(model, monkeypatch):
+def test_single_worker_plan_runs_inline(model, monkeypatch, sharding_pays):
     def _forbidden(*args, **kwargs):  # pragma: no cover - fails the test
         raise AssertionError("workers=1 must not shard")
 
     monkeypatch.setattr(parallel, "_run_sharded", _forbidden)
-    plan = ExecutionPlan(workers=1, min_parallel_configs=1)
-    evaluate_plan(plan, model, GRID, None, "bracketed", True)
+    with use(workers=1):
+        evaluate_configs(model, GRID, use_cache=False)
 
 
-def test_search_identical_under_plan(model):
+def test_search_identical_under_plan(model, sharding_pays):
     space = list(GRID)
     best_plain, stats_plain = search_min_energy_within_deadline(
         model, space, deadline_s=1e6
     )
-    with parallel_plan(workers=2, min_parallel_configs=1, clamp_workers=False):
+    with use(workers=2):
         best_plan, stats_plan = search_min_energy_within_deadline(
             model, space, deadline_s=1e6
         )
@@ -254,7 +287,7 @@ def test_search_checkpoint_pins_chunk_size(model, tmp_path):
     """A checkpoint written under one worker count refuses another."""
     ck = tmp_path / "search.ck"
     space = list(GRID)
-    with parallel_plan(workers=2, min_parallel_configs=1, clamp_workers=False):
+    with use(workers=2):
         search_min_energy_within_deadline(
             model, space, deadline_s=1e6, checkpoint=ck
         )
@@ -265,18 +298,18 @@ def test_search_checkpoint_pins_chunk_size(model, tmp_path):
 
 
 # ----------------------------------------------------------------------
-# disk cache wiring through the plan
+# disk cache wiring through the context
 # ----------------------------------------------------------------------
 
 
 def test_plan_serves_warm_results_from_disk(model, tmp_path):
-    with parallel_plan(workers=1, cache_dir=tmp_path) as plan:
+    with use(cache=ResultCache(tmp_path)) as context:
         cold = evaluate_space(model, GRID)
-        assert plan.cache.stats()["writes"] == 1
-        assert plan.cache.stats()["misses"] == 1
+        assert context.cache.stats()["writes"] == 1
+        assert context.cache.stats()["misses"] == 1
         clear_evaluation_cache()  # force the disk-cache path
         warm = evaluate_space(model, GRID)
-        assert plan.cache.stats()["hits"] == 1
+        assert context.cache.stats()["hits"] == 1
     _assert_bit_identical(warm.vectorized, cold.vectorized)
     # rehydrated evaluations rebuild their configs from the arrays
     assert warm.vectorized.configs == tuple(GRID)
@@ -284,10 +317,10 @@ def test_plan_serves_warm_results_from_disk(model, tmp_path):
 
 def test_uncacheable_sweeps_skip_disk(model, tmp_path):
     cfgs = tuple(config(n, 8, 1.8) for n in (1, 2, 4))
-    with parallel_plan(workers=1, cache_dir=tmp_path) as plan:
+    with use(cache=ResultCache(tmp_path)) as context:
         evaluate_configs(model, cfgs, use_cache=False)
-        assert plan.cache.stats()["writes"] == 0
-        assert plan.cache.entries() == []
+        assert context.cache.stats()["writes"] == 0
+        assert context.cache.entries() == []
 
 
 # ----------------------------------------------------------------------
@@ -308,18 +341,18 @@ def test_available_cpus_is_positive():
     assert parallel.available_cpus() >= 1
 
 
-def test_clamped_plan_runs_inline_on_single_cpu_host(model, monkeypatch):
+def test_clamped_plan_runs_inline_on_single_cpu_host(
+    model, monkeypatch, sharding_pays
+):
     """workers=4 on a 1-CPU host must fall back to the inline engine."""
     from repro import obs
 
     monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     registry = obs.enable_metrics()
     try:
-        plan = ExecutionPlan(workers=4, min_parallel_configs=1)
-        result = evaluate_plan(plan, model, GRID, None, "bracketed", True)
-        assert registry.counter_value("parallel.worker_clamps") == 1
-        assert registry.counter_value("parallel.clamped_inline_sweeps") == 1
-        assert registry.counter_value("parallel.inline_sweeps") == 1
+        with use(workers=4):
+            result = evaluate_configs(model, GRID, use_cache=False)
+        assert registry.counter_value('plan_selected{strategy="vectorized"}') == 1
         # no sharded sweep ran
         assert registry.counter_value("parallel.sweeps") == 0
     finally:
@@ -327,36 +360,43 @@ def test_clamped_plan_runs_inline_on_single_cpu_host(model, monkeypatch):
     _assert_bit_identical(result, _compute(model, GRID, None, "bracketed", True))
 
 
-def test_clamp_partial_uses_available_cpus(model, monkeypatch):
+def test_clamp_partial_uses_available_cpus(model, monkeypatch, sharding_pays):
     """workers=4 on a 2-CPU host shards across 2 workers, bit-identically."""
     from repro import obs
 
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    widths = []
+    real = parallel._run_sharded
+
+    def spy(workers, *args):
+        widths.append(workers)
+        return real(workers, *args)
+
+    monkeypatch.setattr(parallel, "_run_sharded", spy)
     registry = obs.enable_metrics()
     try:
-        plan = ExecutionPlan(workers=4, min_parallel_configs=1)
-        result = evaluate_plan(plan, model, GRID, None, "bracketed", True)
-        assert registry.counter_value("parallel.worker_clamps") == 1
+        with use(workers=4):
+            result = evaluate_configs(model, GRID, use_cache=False)
         assert registry.counter_value("parallel.sweeps") == 1
-        assert registry.counter_value("parallel.inline_sweeps") == 0
+        assert registry.counter_value('plan_selected{strategy="sharded"}') == 1
     finally:
         obs.disable()
+    assert widths == [2]
     _assert_bit_identical(result, _compute(model, GRID, None, "bracketed", True))
 
 
 def test_clamp_workers_false_bypasses_the_clamp(model, monkeypatch):
-    """The escape hatch shards at the requested width regardless of CPUs."""
+    """Calling the shard engine directly shards at the requested width
+    regardless of CPUs."""
     from repro import obs
 
     monkeypatch.setattr(parallel, "available_cpus", lambda: 1)
     registry = obs.enable_metrics()
     try:
-        plan = ExecutionPlan(
-            workers=2, min_parallel_configs=1, clamp_workers=False
+        result = _run_sharded(
+            2, model, GRID, model.inputs.baseline_class, "bracketed", True
         )
-        result = evaluate_plan(plan, model, GRID, None, "bracketed", True)
-        assert registry.counter_value("parallel.worker_clamps") == 0
         assert registry.counter_value("parallel.sweeps") == 1
+        assert registry.counter_value("parallel.shards") == 2 * 2
     finally:
         obs.disable()
     _assert_bit_identical(result, _compute(model, GRID, None, "bracketed", True))

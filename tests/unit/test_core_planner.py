@@ -1,29 +1,27 @@
 """Planner: cost model, calibration, decision table, blocks, metrics."""
 
 import json
+import pathlib
 import threading
 
 import numpy as np
 import pytest
 
 from repro import obs
+from repro.context import ExecutionContext, current, use
 from repro.core import planner
 from repro.core.cache import ARRAY_FIELDS, ResultCache, entry_identity
 from repro.core.configspace import ConfigSpace
-from repro.core.parallel import parallel_plan
 from repro.core.planner import (
     DEFAULT_MAX_BLOCK_BYTES,
     FALLBACK_COST_MODEL,
     WORKING_BYTES_PER_CONFIG,
     CalibrationError,
     CostModel,
-    PlannerConfig,
-    active_config,
     calibrate,
     decide,
     iter_block_spaces,
     load_cost_model,
-    planner_config,
     resolve_cost_model,
     save_cost_model,
 )
@@ -32,16 +30,26 @@ from tests.conftest import config
 
 BENCH_DIR = "benchmarks/out"
 
+#: A calibration file as the previous release wrote it: it still carries
+#: the retired ``scalar_per_config_s`` rate.
+LEGACY_CALIBRATION = (
+    pathlib.Path(__file__).parents[1]
+    / "fixtures"
+    / "planner"
+    / "calibration_with_scalar_rate.json"
+)
+
 
 @pytest.fixture(autouse=True)
 def _clean_planner_state(monkeypatch):
-    """Each test starts without ambient config, env calibration or cache."""
+    """Each test starts without env calibration or cache, and leaves the
+    execution context as it found it."""
     monkeypatch.delenv(planner.CALIBRATION_ENV, raising=False)
     planner.invalidate_cost_model_cache()
     clear_evaluation_cache()
-    assert active_config() is None
+    before = current()
     yield
-    assert active_config() is None
+    assert current() is before
     planner.invalidate_cost_model_cache()
 
 
@@ -53,7 +61,6 @@ def _clean_planner_state(monkeypatch):
 class TestCostModel:
     def test_estimates_are_linear_in_size(self):
         cm = FALLBACK_COST_MODEL
-        assert cm.estimate("scalar", 100) == pytest.approx(100 * cm.scalar_per_config_s)
         assert cm.estimate("vectorized", 100) == pytest.approx(
             cm.vectorized_base_s + 100 * cm.vectorized_per_config_s
         )
@@ -75,14 +82,16 @@ class TestCostModel:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="unknown strategy"):
             FALLBACK_COST_MODEL.estimate("quantum", 10)
+        # the scalar loop is a test reference, not a strategy
+        with pytest.raises(ValueError, match="unknown strategy"):
+            FALLBACK_COST_MODEL.estimate("scalar", 10)
 
     def test_degenerate_rates_rejected(self):
         with pytest.raises(CalibrationError):
             CostModel(
                 source="bad",
-                scalar_per_config_s=0.0,
                 vectorized_base_s=0.0,
-                vectorized_per_config_s=1e-6,
+                vectorized_per_config_s=0.0,
                 shard_dispatch_s=0.0,
                 shard_overhead_per_config_s=0.0,
                 cache_read_base_s=0.0,
@@ -94,22 +103,24 @@ class TestCalibration:
     def test_calibrate_from_committed_reports(self):
         cm = calibrate(BENCH_DIR)
         assert cm.source == "calibrated"
-        # the scalar rate is the best observed per-config scalar time
+        # vectorized is far cheaper per config than the best observed
+        # per-config scalar time
         with open(f"{BENCH_DIR}/vectorized_speedup.json") as fh:
             cases = json.load(fh)["extra"]["cases"]
         best = min(c["scalar_s"] / c["configs"] for c in cases)
-        assert cm.scalar_per_config_s == pytest.approx(best)
-        # vectorized is far cheaper per config than scalar
-        assert cm.vectorized_per_config_s < cm.scalar_per_config_s / 100
+        assert cm.vectorized_per_config_s < best / 100
         assert cm.cpus == 1  # the committed parallel report's host
 
     def test_calibrated_model_reproduces_measured_ordering(self):
-        # on the calibration host, the model must rank vectorized far
-        # ahead of scalar at every measured size — the acceptance gate
-        # "never selects a strategy slower than scalar"
+        # on the calibration host, the vectorized estimate must stay far
+        # below the measured scalar loop at every measured size — the
+        # acceptance gate "never selects a strategy slower than scalar"
         cm = calibrate(BENCH_DIR)
-        for size in (216, 400, 10080, 100080):
-            assert cm.estimate("vectorized", size) < cm.estimate("scalar", size)
+        with open(f"{BENCH_DIR}/vectorized_speedup.json") as fh:
+            cases = json.load(fh)["extra"]["cases"]
+        for case in cases:
+            estimate = cm.estimate("vectorized", case["configs"])
+            assert estimate < case["scalar_s"]
 
     def test_missing_vectorized_report_is_an_error(self, tmp_path):
         with pytest.raises(CalibrationError, match="vectorized_speedup"):
@@ -130,6 +141,16 @@ class TestCalibration:
         cm = calibrate(BENCH_DIR)
         path = save_cost_model(cm, tmp_path / "cal.json")
         assert load_cost_model(path) == cm
+        assert "scalar_per_config_s" not in json.loads(path.read_text())
+
+    def test_calibration_with_retired_scalar_rate_still_loads(self):
+        doc = json.loads(LEGACY_CALIBRATION.read_text())
+        assert "scalar_per_config_s" in doc
+        cm = load_cost_model(LEGACY_CALIBRATION)
+        assert cm.source == doc["source"]
+        assert cm.vectorized_per_config_s == doc["vectorized_per_config_s"]
+        assert cm.shard_dispatch_s == doc["shard_dispatch_s"]
+        assert cm.cpus == doc["cpus"]
 
     def test_load_rejects_foreign_and_corrupt_files(self, tmp_path):
         foreign = tmp_path / "foreign.json"
@@ -143,17 +164,16 @@ class TestCalibration:
         with pytest.raises(CalibrationError):
             load_cost_model(tmp_path / "missing.json")
 
-    def test_resolve_prefers_config_then_env_then_fallback(
-        self, tmp_path, monkeypatch
-    ):
+    def test_resolve_prefers_env_then_fallback(self, tmp_path, monkeypatch):
         assert resolve_cost_model() is FALLBACK_COST_MODEL
         path = save_cost_model(calibrate(BENCH_DIR), tmp_path / "cal.json")
         monkeypatch.setenv(planner.CALIBRATION_ENV, str(path))
         planner.invalidate_cost_model_cache()
         assert resolve_cost_model().source == "calibrated"
-        explicit = FALLBACK_COST_MODEL
-        with planner_config(cost_model=explicit):
-            assert resolve_cost_model() is explicit
+        # an explicit model is a decide() argument, not context state
+        assert decide(10, cost_model=FALLBACK_COST_MODEL).reason.startswith(
+            "cheapest estimate (fallback"
+        )
 
     def test_resolve_degrades_unusable_env_file_to_fallback(
         self, tmp_path, monkeypatch
@@ -173,12 +193,12 @@ class TestCalibration:
 class TestDecisionTable:
     """The (grid size, workers, cache state, affinity mask) corners."""
 
-    def test_tiny_space_prefers_scalar(self):
-        assert decide(1, workers=1, cpus=1).strategy == "scalar"
-        assert decide(3, workers=1, cpus=1).strategy == "scalar"
+    def test_tiny_space_is_vectorized(self):
+        assert decide(1, workers=1, cpus=1).strategy == "vectorized"
+        assert decide(3, workers=1, cpus=1).strategy == "vectorized"
 
-    def test_empty_space_is_scalar_and_harmless(self):
-        assert decide(0, workers=1, cpus=1).strategy == "scalar"
+    def test_empty_space_is_vectorized(self):
+        assert decide(0, workers=1, cpus=1).strategy == "vectorized"
 
     def test_medium_space_prefers_vectorized(self):
         for size in (100, 4096, 100080):
@@ -193,11 +213,20 @@ class TestDecisionTable:
         # regression for the 0.67x pessimization recorded in
         # parallel_speedup.json: 4 requested workers on a 1-CPU affinity
         # mask must not shard, at any size, even when forced
+        cheap_shards = CostModel(
+            source="test",
+            vectorized_base_s=1.0,
+            vectorized_per_config_s=1.0,
+            shard_dispatch_s=0.0,
+            shard_overhead_per_config_s=0.0,
+            cache_read_base_s=1.0,
+            cache_read_per_config_s=1.0,
+        )
         for size in (1, 4096, 100080, 10**7):
             assert decide(size, workers=4, cpus=1).strategy != "sharded"
-        forced = decide(10**7, workers=4, cpus=1, mode="sharded")
-        assert forced.strategy == "vectorized"
-        assert "never shards" in forced.reason
+            d = decide(size, workers=4, cpus=1, cost_model=cheap_shards)
+            assert d.strategy == "vectorized"
+            assert d.estimate_for("sharded") is None
 
     def test_calibrated_model_reproduces_the_recorded_pessimization(self):
         # the exact recorded case: 100080 configs, 4 requested workers,
@@ -214,13 +243,9 @@ class TestDecisionTable:
         d = decide(10**6, workers=4, cpus=4, cache_hit=True)
         assert d.strategy == "cached"
 
-    def test_forced_modes_are_honored(self):
-        assert decide(10**6, workers=1, cpus=1, mode="scalar").strategy == "scalar"
-        assert decide(3, workers=1, cpus=1, mode="vectorized").strategy == "vectorized"
-        assert decide(10, workers=4, cpus=4, mode="sharded").strategy == "sharded"
-
     def test_forced_cache_mode_does_not_exist(self):
-        with pytest.raises(ValueError, match="unknown plan mode"):
+        # no strategy can be forced: the cost model always decides
+        with pytest.raises(TypeError):
             decide(10, mode="cached")
 
     def test_block_budget_forces_streamed_vectorized(self):
@@ -230,9 +255,9 @@ class TestDecisionTable:
         d = decide(size, workers=4, cpus=4, max_block_bytes=budget)
         assert d.strategy == "vectorized"
         assert d.streamed
-        # sharded is not even a candidate under a streaming budget
-        forced = decide(size, workers=4, cpus=4, mode="sharded", max_block_bytes=budget)
-        assert forced.strategy == "vectorized"
+        # sharded is not even a candidate under a streaming budget, even
+        # where the cost model would pick it
+        assert decide(size, workers=4, cpus=4).strategy == "sharded"
 
     def test_generous_budget_does_not_stream(self):
         d = decide(100, workers=1, cpus=1, max_block_bytes=DEFAULT_MAX_BLOCK_BYTES)
@@ -241,7 +266,6 @@ class TestDecisionTable:
     def test_min_parallel_floor_gates_sharding(self):
         cheap_shards = CostModel(
             source="test",
-            scalar_per_config_s=1.0,
             vectorized_base_s=1.0,
             vectorized_per_config_s=1.0,
             shard_dispatch_s=0.0,
@@ -259,8 +283,11 @@ class TestDecisionTable:
         assert above.strategy == "sharded"
 
     def test_allow_scalar_false_excludes_scalar(self):
-        d = decide(1, workers=1, cpus=1, allow_scalar=False)
-        assert d.strategy == "vectorized"
+        assert decide(1, workers=1, cpus=1).strategy == "vectorized"
+        for size in (0, 1, 216, 10**6):
+            d = decide(size, workers=4, cpus=4)
+            assert d.strategy != "scalar"
+            assert d.estimate_for("scalar") is None
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError, match="size"):
@@ -277,32 +304,35 @@ class TestDecisionTable:
 
 class TestAmbientConfig:
     def test_planner_config_restores_previous(self):
-        outer = PlannerConfig(mode="vectorized")
-        with planner_config(outer):
-            assert active_config() is outer
-            with planner_config(mode="scalar"):
-                assert active_config().mode == "scalar"
-            assert active_config() is outer
-        assert active_config() is None
+        before = current()
+        with use(max_block_bytes=1 << 20) as outer:
+            assert current() is outer
+            with use(max_block_bytes=1):
+                assert current().max_block_bytes == 1
+            assert current() is outer
+        assert current() is before
 
     def test_config_is_thread_local(self):
         seen = {}
 
         def probe():
-            seen["other"] = active_config()
+            seen["other"] = current()
 
-        with planner_config(mode="scalar"):
+        with use(max_block_bytes=1):
             t = threading.Thread(target=probe)
             t.start()
             t.join()
-            assert active_config() is not None
-        assert seen["other"] is None
+            assert current().max_block_bytes == 1
+        assert seen["other"] == ExecutionContext()
 
     def test_invalid_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown plan mode"):
-            PlannerConfig(mode="psychic")
+        # plan modes are gone: the context has no field to force one
+        with pytest.raises(TypeError):
+            with use(mode="psychic"):
+                pass  # pragma: no cover - use() raises before the body
         with pytest.raises(ValueError, match="max_block_bytes"):
-            PlannerConfig(max_block_bytes=0)
+            with use(max_block_bytes=0):
+                pass  # pragma: no cover - use() raises before the body
 
 
 # ----------------------------------------------------------------------
@@ -380,18 +410,9 @@ SPACE = ConfigSpace(
 
 
 class TestExecuteDispatch:
-    def test_forced_scalar_matches_vectorized_to_tolerance(self, xeon_sp_model):
-        vec = evaluate_configs(xeon_sp_model, SPACE, use_cache=False)
-        with planner_config(mode="scalar"):
-            sca = evaluate_configs(xeon_sp_model, SPACE, use_cache=False)
-        np.testing.assert_allclose(sca.times_s, vec.times_s, rtol=1e-9)
-        np.testing.assert_allclose(sca.energies_j, vec.energies_j, rtol=1e-9)
-        np.testing.assert_allclose(sca.ucrs, vec.ucrs, rtol=1e-9)
-        np.testing.assert_array_equal(sca.nodes, vec.nodes)
-
     def test_streamed_config_is_bit_identical(self, xeon_sp_model):
         vec = evaluate_configs(xeon_sp_model, SPACE, use_cache=False)
-        with planner_config(max_block_bytes=1):
+        with use(max_block_bytes=1):
             streamed = evaluate_configs(xeon_sp_model, SPACE, use_cache=False)
         for name in ARRAY_FIELDS:
             np.testing.assert_array_equal(
@@ -405,21 +426,25 @@ class TestExecuteDispatch:
         identity = entry_identity(
             xeon_sp_model, SPACE, "W", "bracketed", True
         )
-        with parallel_plan(workers=1, cache_dir=tmp_path):
-            with planner_config(mode="auto"):
+        registry = obs.enable_metrics()
+        try:
+            with use(cache=ResultCache(tmp_path)):
                 evaluate_configs(xeon_sp_model, SPACE)
                 assert cache.contains(identity)
                 clear_evaluation_cache()
                 again = evaluate_configs(xeon_sp_model, SPACE)
+            cached = registry.counter_value('plan_selected{strategy="cached"}')
+        finally:
+            obs.disable()
         assert again is not None
+        assert cached == 1
 
     def test_selection_counter_is_labeled_in_prometheus_text(
         self, xeon_sp_model
     ):
         registry = obs.enable_metrics()
         try:
-            with planner_config(mode="vectorized"):
-                evaluate_configs(xeon_sp_model, SPACE, use_cache=False)
+            evaluate_configs(xeon_sp_model, SPACE, use_cache=False)
             text = registry.to_prometheus_text()
         finally:
             obs.disable()

@@ -184,12 +184,12 @@ class TestSeededRegressions:
             "parallel.py",
             "    t_start = time.perf_counter()",
             "    t_start = time.perf_counter()\n"
-            "    global _ACTIVE_PLAN\n"
-            "    _ACTIVE_PLAN = None",
+            "    global _POOL\n"
+            "    _POOL = None",
         )
         result = lint_paths([tmp_path], tmp_path, config=LintConfig(rules=("RL003",)))
         assert [f.rule for f in result.findings] == ["RL003"]
-        assert "_ACTIVE_PLAN" in result.findings[0].message
+        assert "'_POOL'" in result.findings[0].message
 
     def test_rl003_pristine_parallel_is_clean(self, tmp_path):
         shutil.copy(REPO_ROOT / "src/repro/core/parallel.py", tmp_path / "parallel.py")
@@ -228,7 +228,10 @@ class TestSeededRegressions:
             "src/repro/serve/app.py",
             "app.py",
             "        doc = await loop.run_in_executor(\n"
-            "            self._engine_pool, self._compute_sync, query\n"
+            "            self._engine_pool,\n"
+            "            contextvars.copy_context().run,\n"
+            "            self._compute_sync,\n"
+            "            query,\n"
             "        )",
             "        doc = self._compute_sync(query)",
         )
@@ -299,11 +302,17 @@ class TestSeededRegressions:
             "src/repro/serve/app.py",
             "app.py",
             "        doc = await loop.run_in_executor(\n"
-            "            self._engine_pool, self._compute_sync, query\n"
+            "            self._engine_pool,\n"
+            "            contextvars.copy_context().run,\n"
+            "            self._compute_sync,\n"
+            "            query,\n"
             "        )",
             "        with self._model_lock:\n"
             "            doc = await loop.run_in_executor(\n"
-            "                self._engine_pool, self._compute_sync, query\n"
+            "                self._engine_pool,\n"
+            "                contextvars.copy_context().run,\n"
+            "                self._compute_sync,\n"
+            "                query,\n"
             "            )",
         )
         result = lint_paths([tmp_path], tmp_path, config=LintConfig(rules=("RL008",)))

@@ -5,9 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro import obs, resilience
+from repro.context import use
 from repro.resilience import (
     ChaosRule,
     ChaosSchedule,
+    ResilienceContext,
     ResilienceError,
     RetryPolicy,
     SampleLost,
@@ -58,27 +60,26 @@ class TestFacade:
         """These tests assert on the facade's enabled/disabled state, so
         the session-wide REPRO_CHAOS context (CI's chaos job) must be
         stashed for their duration and restored afterwards."""
-        prev = resilience.get_context()
-        resilience.disable()
-        try:
+        with use(resilience=None):
             yield
-        finally:
-            resilience._context = prev
 
     def test_disabled_is_passthrough(self):
         assert not resilience.active()
         assert resilience.call("x", (), lambda: 42) == 42
 
     def test_enabled_context_restores_previous(self):
-        with resilience.enabled(RetryPolicy()):
+        outer = ResilienceContext(RetryPolicy())
+        with use(resilience=outer):
             assert resilience.active()
-            with resilience.enabled(RetryPolicy(max_retries=1)) as inner:
+            inner = ResilienceContext(RetryPolicy(max_retries=1))
+            with use(resilience=inner):
                 assert resilience.get_context() is inner
-            assert resilience.active()
+            assert resilience.get_context() is outer
         assert not resilience.active()
 
     def test_clean_call_counts_one_attempt(self):
-        with resilience.enabled(RetryPolicy()) as ctx:
+        ctx = ResilienceContext(RetryPolicy())
+        with use(resilience=ctx):
             assert resilience.call("pmu", ("a",), lambda: 1.0) == 1.0
         stats = ctx.stats["pmu"]
         assert stats.attempts == 1
@@ -88,7 +89,8 @@ class TestFacade:
 
     def test_drop_everything_raises_sample_lost(self):
         chaos = ChaosSchedule(seed=1, rules={"*": ChaosRule(drop_p=1.0)})
-        with resilience.enabled(RetryPolicy(max_retries=2), chaos) as ctx:
+        ctx = ResilienceContext(RetryPolicy(max_retries=2), chaos)
+        with use(resilience=ctx):
             with pytest.raises(SampleLost, match="raise --retries"):
                 resilience.call("pmu", ("a",), lambda: 1.0)
         stats = ctx.stats["pmu"]
@@ -105,7 +107,8 @@ class TestFacade:
         # and the idempotent closure returns the original value
         chaos = ChaosSchedule(seed=7, rules={"*": ChaosRule(drop_p=0.5)})
         values = {}
-        with resilience.enabled(RetryPolicy(max_retries=12), chaos) as ctx:
+        ctx = ResilienceContext(RetryPolicy(max_retries=12), chaos)
+        with use(resilience=ctx):
             for i in range(50):
                 values[i] = resilience.call("pmu", (f"s{i}",), lambda v=i: v * 1.5)
         assert values == {i: i * 1.5 for i in range(50)}
@@ -115,14 +118,14 @@ class TestFacade:
         chaos = ChaosSchedule(
             seed=3, rules={"*": ChaosRule(delay_p=1.0, delay_s=10.0)}
         )
-        with resilience.enabled(
-            RetryPolicy(max_retries=1, timeout_s=1.0), chaos
-        ) as ctx:
+        ctx = ResilienceContext(RetryPolicy(max_retries=1, timeout_s=1.0), chaos)
+        with use(resilience=ctx):
             with pytest.raises(SampleLost):
                 resilience.call("pmu", ("a",), lambda: 1.0)
         assert ctx.stats["pmu"].lost == 1
         # without the timeout the same schedule only delays, never loses
-        with resilience.enabled(RetryPolicy(max_retries=1), chaos) as ctx2:
+        ctx2 = ResilienceContext(RetryPolicy(max_retries=1), chaos)
+        with use(resilience=ctx2):
             assert resilience.call("pmu", ("a",), lambda: 1.0) == 1.0
         assert ctx2.stats["pmu"].delayed == 1
 
@@ -130,7 +133,8 @@ class TestFacade:
         chaos = ChaosSchedule(
             seed=5, rules={"*": ChaosRule(corrupt_p=1.0, corrupt_sigma=0.1)}
         )
-        with resilience.enabled(RetryPolicy(), chaos) as ctx:
+        ctx = ResilienceContext(RetryPolicy(), chaos)
+        with use(resilience=ctx):
             value = resilience.call(
                 "pmu", ("a",), lambda: 100.0, corrupt=lambda v, f: v * f
             )
@@ -142,7 +146,8 @@ class TestFacade:
         chaos = ChaosSchedule(seed=1, rules={"*": ChaosRule(drop_p=1.0)})
         registry = obs.enable_metrics()
         try:
-            with resilience.enabled(RetryPolicy(max_retries=1), chaos):
+            context = ResilienceContext(RetryPolicy(max_retries=1), chaos)
+            with use(resilience=context):
                 with pytest.raises(SampleLost):
                     resilience.call("pmu", ("a",), lambda: 1.0)
             counters = {

@@ -8,6 +8,8 @@ import json
 import pytest
 
 from repro import obs
+from repro.context import use
+from repro.core import parallel, planner
 from repro.core.vectorized import clear_evaluation_cache
 from repro.serve.app import ServeApp
 
@@ -41,8 +43,10 @@ def make_app(shared_models):
     """Factory for fresh apps preloaded with the shared model registry."""
     models, specs = shared_models
 
-    def make(**kwargs) -> ServeApp:
-        app = ServeApp(**kwargs)
+    def make(max_block_bytes=None, **kwargs) -> ServeApp:
+        # the app captures the execution context it is created in
+        with use(max_block_bytes=max_block_bytes):
+            app = ServeApp(**kwargs)
         app._models.update(models)
         app._specs.update(specs)
         return app
@@ -90,18 +94,37 @@ def test_streamed_response_bytes_identical_to_materialized(make_app):
     asyncio.run(run())
 
 
-def test_forced_vectorized_response_bytes_identical(make_app):
-    async def run():
-        auto = await _query(make_app(), _body())
-        clear_evaluation_cache()
-        forced = await _query(make_app(plan="vectorized"), _body())
-        assert forced == auto
+def test_sharded_response_bytes_identical(make_app, monkeypatch):
+    cheap_shards = planner.CostModel(
+        source="test",
+        vectorized_base_s=1.0,
+        vectorized_per_config_s=1.0,
+        shard_dispatch_s=0.0,
+        shard_overhead_per_config_s=0.0,
+        cache_read_base_s=1.0,
+        cache_read_per_config_s=1.0,
+    )
 
-    asyncio.run(run())
+    async def run():
+        vectorized = await _query(make_app(), _body())
+        clear_evaluation_cache()
+        with use(workers=2):
+            app = make_app()
+        sharded = await _query(app, _body())
+        assert sharded == vectorized
+        assert app.registry.counter_value('plan_selected{strategy="sharded"}') == 1
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
+    monkeypatch.setattr(parallel, "MIN_PARALLEL_CONFIGS", 1)
+    monkeypatch.setattr(planner, "resolve_cost_model", lambda: cheap_shards)
+    try:
+        asyncio.run(run())
+    finally:
+        parallel.shutdown_pool()
 
 
 def test_scalar_plan_is_not_selectable_in_serve(make_app):
-    # ServeApp pins allow_scalar=False; even a tiny query must route
+    # the scalar loop is not a strategy: even a tiny query routes
     # through the byte-stable engine strategies
     async def run():
         app = make_app()
