@@ -6,8 +6,8 @@ called directly so it shards even where the planner would decline) and
 (b) the *planner-routed* path (``repro.core.planner`` under an execution
 context with the same worker bound and a result cache), checks the sharded arrays are bit-identical to the single-process
 ones, times the persistent result cache's warm path, and measures the
-planner's per-decision overhead plus the peak RSS of block-streamed
-reduction over a huge space.  A machine-readable record goes to
+planner's per-decision overhead plus the peak RSS of a block-streamed
+evaluation of a large space.  A machine-readable record goes to
 ``benchmarks/out/parallel_speedup.json`` for CI trend tracking.
 
 Two modes:
@@ -15,9 +15,9 @@ Two modes:
 * full (default): a ~100k-config sweep at 4 workers must reach >= 3x over
   single-process — enforced only where the host actually has >= 4 CPUs
   (the record says whether the floor was enforced and why), and the
-  streamed reduction covers a 10^7-config grid;
+  streamed evaluation covers a 10^6-config grid;
 * smoke (``REPRO_BENCH_SMOKE=1``): a small space at 2 workers and a
-  10^6-config streamed grid — process dispatch on a loaded single-core
+  10^5-config streamed grid — process dispatch on a loaded single-core
   CI runner can legitimately lose to one process when *forced*.
 
 The planner floor binds in both modes: the planner-routed path must
@@ -27,8 +27,14 @@ pessimization) and serves repeats from the warm cache.  Likewise the
 planner must never pick a strategy slower than the scalar reference
 loop.  Either way the warm cache must not be slower than recomputing,
 and the sharded arrays must equal the single-process arrays exactly.
+
+The streamed gate runs the same sweep twice in fresh forked children,
+under a ``max_block_bytes`` budget and without one: the budgeted peak
+RSS must stay within the output arrays plus a fixed allowance, below
+the unbudgeted peak, and both runs must produce the same bytes.
 """
 
+import hashlib
 import multiprocessing
 import os
 import resource
@@ -40,7 +46,12 @@ from repro.core.cache import ARRAY_FIELDS, ResultCache, entry_identity
 from repro.core.configspace import ConfigSpace
 from repro.context import use
 from repro.core.parallel import _run_sharded, shutdown_pool
-from repro.core.planner import calibrate, decide, stream_topk
+from repro.core.planner import (
+    RESULT_BYTES_PER_CONFIG,
+    calibrate,
+    decide,
+    iter_block_spaces,
+)
 from repro.core.vectorized import _compute, clear_evaluation_cache, evaluate_configs
 from repro.units import KIB, MIB
 
@@ -56,13 +67,13 @@ PLANNER_SPEEDUP_FLOOR = 1.0
 WORKERS = 2 if SMOKE else 4
 _REPEATS = 2 if SMOKE else 3
 
-#: Streamed-reduction budget and grid (10^6 configs smoke, 10^7 full).
-STREAM_BLOCK_BYTES = 32 * MIB
-STREAM_NODES = 41_667 if SMOKE else 416_667
-#: Peak-RSS allowance for the streamed reduction: generous against
-#: allocator slack, but far below what materializing the full result
-#: arrays (plus broadcast temporaries) would need.
-STREAM_RSS_ALLOWANCE = 512 * MIB
+#: Streamed-evaluation budget and grid (10^5 configs smoke, 10^6 full).
+STREAM_BLOCK_BYTES = 4 * MIB
+STREAM_NODES = 4_167 if SMOKE else 41_667
+#: Peak-RSS allowance of the budgeted sweep on top of its output arrays:
+#: one block's working set plus allocator slack.  The unbudgeted pass
+#: peaks about 70 MiB above its output at 10^6 configs.
+STREAM_RSS_ALLOWANCE = 32 * MIB
 
 
 def _synthetic_space() -> ConfigSpace:
@@ -76,7 +87,7 @@ def _synthetic_space() -> ConfigSpace:
 
 
 def _stream_space() -> ConfigSpace:
-    """The huge streamed grid: 24 configs per node row."""
+    """The large streamed grid: 24 configs per node row."""
     return ConfigSpace(
         node_counts=tuple(range(1, STREAM_NODES + 1)),
         core_counts=tuple(range(1, 9)),
@@ -95,43 +106,46 @@ def _best_of(fn, repeats: int = _REPEATS) -> tuple[float, object]:
     return best, result
 
 
-def _stream_child(model, space, block_bytes, k, conn):
-    """Run a streamed top-k in a fresh process and report its peak RSS.
+def _stream_child(model, space, block_bytes, conn):
+    """Evaluate ``space`` in a fresh process and report its peak RSS.
 
-    The child warms up on a one-block slice first so interpreter +
-    import RSS is excluded; the delta then isolates the streamed
-    reduction's own working set.  ``ru_maxrss`` is KiB on Linux.
+    ``block_bytes`` is the context's ``max_block_bytes`` (``None``
+    evaluates unbudgeted).  The child warms up on a two-row slice first
+    so interpreter + import RSS is excluded; the delta then isolates the
+    sweep's own working set and output.  ``ru_maxrss`` is KiB on Linux.
     """
     warmup = ConfigSpace(
         node_counts=space.node_counts[:2],
         core_counts=space.core_counts,
         frequencies_hz=space.frequencies_hz,
     )
-    stream_topk(model, warmup, k, max_block_bytes=block_bytes)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * KIB
-    t0 = time.perf_counter()
-    selection = stream_topk(model, space, k, max_block_bytes=block_bytes)
-    elapsed = time.perf_counter() - t0
-    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * KIB
+    with use(max_block_bytes=block_bytes):
+        evaluate_configs(model, warmup, use_cache=False)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * KIB
+        t0 = time.perf_counter()
+        result = evaluate_configs(model, space, use_cache=False)
+        elapsed = time.perf_counter() - t0
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * KIB
+    digest = hashlib.sha256()
+    for name in ARRAY_FIELDS:
+        digest.update(np.ascontiguousarray(getattr(result, name)).tobytes())
     conn.send(
         {
             "rss_delta_bytes": max(0, after - before),
             "elapsed_s": elapsed,
-            "indices": selection.indices.tolist(),
-            "energies": selection.evaluation.energies_j.tolist(),
-            "blocks": selection.blocks,
-            "configs": selection.configs,
+            "digest": digest.hexdigest(),
+            "configs": len(result),
         }
     )
     conn.close()
 
 
-def _measure_stream(model, space, block_bytes, k=8):
-    """Fork a child, stream the space, return its RSS/timing record."""
+def _measure_stream(model, space, block_bytes):
+    """Fork a child, evaluate the space, return its RSS/timing record."""
     ctx = multiprocessing.get_context("fork")
     parent, child = ctx.Pipe(duplex=False)
     proc = ctx.Process(
-        target=_stream_child, args=(model, space, block_bytes, k, child)
+        target=_stream_child, args=(model, space, block_bytes, child)
     )
     proc.start()
     child.close()
@@ -220,14 +234,15 @@ def test_parallel_speedup(
         )[1]
     )
 
-    # streamed huge-space reduction: fixed block budget, peak RSS in a
-    # fresh process, and the same winners at two different block sizes
+    # streamed evaluation: the same sweep under the block budget and
+    # unbudgeted, each's peak RSS in a fresh process, and the same bytes
     stream_space = _stream_space()
     stream = _measure_stream(model, stream_space, STREAM_BLOCK_BYTES)
-    stream_alt = _measure_stream(model, stream_space, STREAM_BLOCK_BYTES // 4)
-    stream_invariant = (
-        stream["indices"] == stream_alt["indices"]
-        and stream["energies"] == stream_alt["energies"]
+    unbudgeted = _measure_stream(model, stream_space, None)
+    stream_identical = stream["digest"] == unbudgeted["digest"]
+    stream_output_bytes = len(stream_space) * RESULT_BYTES_PER_CONFIG
+    stream_blocks = sum(
+        1 for _ in iter_block_spaces(stream_space, STREAM_BLOCK_BYTES)
     )
 
     cpu_count = os.cpu_count() or 1
@@ -259,11 +274,14 @@ def test_parallel_speedup(
         "floor_enforced": floor_enforced,
         "floor_reason": reason,
         "stream_configs": stream["configs"],
-        "stream_blocks": stream["blocks"],
+        "stream_blocks": stream_blocks,
         "stream_block_bytes": STREAM_BLOCK_BYTES,
         "stream_elapsed_s": stream["elapsed_s"],
+        "stream_output_bytes": stream_output_bytes,
         "stream_rss_allowance_bytes": STREAM_RSS_ALLOWANCE,
-        "stream_block_invariant": stream_invariant,
+        "unbudgeted_peak_rss_bytes": unbudgeted["rss_delta_bytes"],
+        "unbudgeted_elapsed_s": unbudgeted["elapsed_s"],
+        "stream_bit_identical": stream_identical,
     }
     write_report(
         "parallel_speedup",
@@ -297,9 +315,12 @@ def test_parallel_speedup(
                 f"decision cost:  {planner_overhead_s * 1e6:.1f} us",
                 f"scalar 216:     {scalar_s:.4f} s vs planner {chosen_s:.4f} s",
                 f"streamed:       {stream['configs']} configs in "
-                f"{stream['blocks']} blocks, peak RSS delta "
+                f"{stream_blocks} blocks, peak RSS delta "
                 f"{stream['rss_delta_bytes'] / MIB:.1f} MiB "
-                f"({stream['elapsed_s']:.2f} s)",
+                f"({stream['elapsed_s']:.2f} s); unbudgeted "
+                f"{unbudgeted['rss_delta_bytes'] / MIB:.1f} MiB "
+                f"({unbudgeted['elapsed_s']:.2f} s); output "
+                f"{stream_output_bytes / MIB:.1f} MiB",
                 f"floors:         sharded >= {FULL_SPEEDUP_FLOOR}x ({reason}); "
                 f"planner >= {PLANNER_SPEEDUP_FLOOR}x (always)",
             ]
@@ -323,16 +344,22 @@ def test_parallel_speedup(
     assert chosen_s <= scalar_s, (
         f"planner strategy slower than scalar: {chosen_s:.4f}s vs {scalar_s:.4f}s"
     )
-    # streamed reduction: fixed memory budget, block-size-independent result
-    assert stream["rss_delta_bytes"] <= STREAM_RSS_ALLOWANCE, (
+    # streamed evaluation: output arrays plus a fixed allowance, below
+    # the unbudgeted pass, and the same bytes
+    stream_ceiling = stream_output_bytes + STREAM_RSS_ALLOWANCE
+    assert stream["rss_delta_bytes"] <= stream_ceiling, (
         f"streamed peak RSS {stream['rss_delta_bytes'] / MIB:.1f} MiB "
-        f"exceeds {STREAM_RSS_ALLOWANCE / MIB:.0f} MiB"
+        f"exceeds output + allowance {stream_ceiling / MIB:.1f} MiB"
     )
-    assert stream_invariant, "streamed top-k depends on the block size"
+    assert stream["rss_delta_bytes"] < unbudgeted["rss_delta_bytes"], (
+        f"streamed peak RSS {stream['rss_delta_bytes'] / MIB:.1f} MiB not "
+        f"below unbudgeted {unbudgeted['rss_delta_bytes'] / MIB:.1f} MiB"
+    )
+    assert stream_identical, "streamed arrays differ from the unbudgeted sweep"
     assert stream["configs"] == len(stream_space)
     if not SMOKE:
         assert len(space) >= 100_000
-        assert stream["configs"] >= 10**7
+        assert stream["configs"] >= 10**6
         # near-instant warm reads: at least 2x faster than recomputing
         assert warm_s <= single_s / 2
     if floor_enforced:

@@ -972,15 +972,13 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.app import DEFAULT_ENGINE_WORKERS, run_server
 
-    # The service owns its warm tier directly (the global --cache-dir is
-    # reused as its ResultCache directory); the global execution context
-    # (--workers, --max-block-bytes, resilience) reaches every engine call.
+    # The global execution context (--workers, --cache-dir as the warm
+    # tier, --max-block-bytes, resilience) reaches every engine call.
     return run_server(
         host=args.host,
         port=args.port,
         rate=args.rate,
         burst=args.burst,
-        cache_dir=args.cache_dir,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
         engine_workers=(

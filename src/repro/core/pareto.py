@@ -90,30 +90,3 @@ def _frontier(evaluation: SpaceEvaluation) -> list[ParetoPoint]:
         if keep
     ]
     return sorted(points, key=lambda pt: pt.time_s)
-
-
-def pareto_frontier_streamed(
-    model,
-    space: object,
-    class_name: str | None = None,
-    *,
-    max_block_bytes: int | None = None,
-) -> list[ParetoPoint]:
-    """Extract the frontier of a space too large to materialize.
-
-    Runs :func:`repro.core.planner.stream_pareto` — a running-frontier
-    reduction over block-streamed evaluation, O(frontier + block) memory
-    — and returns the same :class:`ParetoPoint` list (sorted by time)
-    that :func:`pareto_frontier` produces over the materialized space:
-    frontier membership is exact, member values bit-identical.
-    """
-    from repro.core import planner
-
-    kwargs = {} if max_block_bytes is None else {
-        "max_block_bytes": max_block_bytes
-    }
-    selection = planner.stream_pareto(model, space, class_name, **kwargs)
-    points = [
-        ParetoPoint(prediction=p) for p in selection.evaluation.predictions
-    ]
-    return sorted(points, key=lambda pt: pt.time_s)

@@ -26,15 +26,13 @@ of 216 configurations or more, and it stays the reference in tests.
 * **Decision** (:func:`decide`): hard invariant, pinned by a regression
   test: **an effective single-CPU host never selects ``sharded``**,
   whatever the cost model says.
-* **Streaming** (:func:`iter_block_spaces`, :func:`stream_blocks`,
-  :func:`evaluate_space_streamed`, :func:`stream_topk`,
-  :func:`stream_pareto`): evaluates a space in contiguous flat-order
-  blocks sized by a byte budget (``--max-block-bytes``), with running
-  top-k / Pareto reductions whose results are **bit-identical** to the
-  materialized path — every block stays grid-shaped, every lane's
+* **Streaming** (:func:`iter_block_spaces`,
+  :func:`evaluate_space_streamed`): evaluates a space in contiguous
+  flat-order blocks sized by a byte budget (``--max-block-bytes``) and
+  assembles them into output arrays **bit-identical** to the
+  materialized path — every block stays grid-shaped and every lane's
   arithmetic is independent (the Eq. 5 fixed point freezes converged
-  lanes), and the reductions replicate NumPy's stable tie-breaking
-  exactly.  The property suite pins this contract.
+  lanes).  The property suite pins this contract.
 
 Every strategy returns the same bytes; only the
 ``repro_plan_selected_total{strategy="…"}`` label records which one ran.
@@ -55,7 +53,7 @@ from repro import obs
 from repro.context import current
 from repro.core import parallel, vectorized
 from repro.core.cache import ARRAY_FIELDS, entry_identity
-from repro.core.model import HybridProgramModel, Prediction
+from repro.core.model import HybridProgramModel
 from repro.core.parallel import _SubGrid
 from repro.core.vectorized import VectorizedEvaluation
 from repro.units import MIB
@@ -584,29 +582,6 @@ def iter_block_spaces(
                     offset += len(chunk)
 
 
-def stream_blocks(
-    model: HybridProgramModel,
-    space: object,
-    class_name: str | None = None,
-    *,
-    queueing: str = "bracketed",
-    service_overlap: bool = True,
-    max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES,
-) -> Iterator[tuple[int, VectorizedEvaluation]]:
-    """Generator-of-blocks evaluation: ``(offset, block evaluation)``.
-
-    Each block runs the plain single-process broadcast engine on a
-    flat-order :func:`iter_block_spaces` slice; consuming one block at a
-    time bounds live memory by the budget while the concatenation of all
-    blocks equals the materialized arrays bit for bit.
-    """
-    for offset, _length, sub in iter_block_spaces(space, max_block_bytes):
-        vec = vectorized._compute(
-            model, sub, class_name, queueing, service_overlap, instrument=False
-        )
-        yield offset, vec
-
-
 def evaluate_space_streamed(
     model: HybridProgramModel,
     space: object,
@@ -615,24 +590,16 @@ def evaluate_space_streamed(
     queueing: str = "bracketed",
     service_overlap: bool = True,
     max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES,
-    transport: str = "memory",
 ) -> VectorizedEvaluation:
     """Full-space evaluation assembled block by block.
 
-    The broadcast engine's working set (≈4x the result rows in
-    intermediate arrays) stays bounded by ``max_block_bytes``; the
-    assembled output arrays are exactly the materialized engine's, bit
-    for bit.  ``transport="memory"`` assembles into plain arrays
-    (output still occupies ``size * RESULT_BYTES_PER_CONFIG`` bytes of
-    RAM); ``transport="memmap"`` reuses the shard-transport idiom —
-    per-field scratch files written per block, reopened read-only and
-    unlinked — so the output pages are file-backed and reclaimable, for
-    spaces whose *results* outgrow RAM.  Use the streaming reductions
-    (:func:`stream_topk`, :func:`stream_pareto`) when only extrema are
-    needed: they are O(block), not O(space).
+    Each block runs the plain single-process broadcast engine on a
+    flat-order :func:`iter_block_spaces` slice, so the engine's working
+    set (≈4x the result rows in intermediate arrays) stays bounded by
+    ``max_block_bytes``.  The assembled output arrays occupy
+    ``size * RESULT_BYTES_PER_CONFIG`` bytes and are exactly the
+    materialized engine's, bit for bit.
     """
-    if transport not in ("memory", "memmap"):
-        raise ValueError(f"unknown transport {transport!r}")
     total = parallel._space_size(space)
     if not obs.active():
         return _assemble_streamed(
@@ -642,12 +609,9 @@ def evaluate_space_streamed(
             queueing,
             service_overlap,
             max_block_bytes,
-            transport,
             total,
         )
-    with obs.span(
-        "evaluate_space_streamed", configs=total, transport=transport
-    ) as sp:
+    with obs.span("evaluate_space_streamed", configs=total) as sp:
         result = _assemble_streamed(
             model,
             space,
@@ -655,7 +619,6 @@ def evaluate_space_streamed(
             queueing,
             service_overlap,
             max_block_bytes,
-            transport,
             total,
         )
         sp.set(class_name=result.class_name)
@@ -669,394 +632,29 @@ def _assemble_streamed(
     queueing: str,
     service_overlap: bool,
     max_block_bytes: int,
-    transport: str,
     total: int,
 ) -> VectorizedEvaluation:
-    import shutil
-    import tempfile
-
-    scratch: str | None = None
-    arrays: dict[str, np.ndarray] = {}
-    if transport == "memmap":
-        scratch = tempfile.mkdtemp(prefix="repro-stream-")
-    try:
-        if scratch is None:
-            for name in ARRAY_FIELDS:
-                arrays[name] = np.empty(total, dtype=parallel._field_dtype(name))
-        else:
-            for name in ARRAY_FIELDS:
-                arrays[name] = np.memmap(
-                    os.path.join(scratch, f"{name}.bin"),
-                    dtype=parallel._field_dtype(name),
-                    mode="w+",
-                    shape=(total,),
-                )
-        cls_name = class_name or model.inputs.baseline_class
-        blocks = 0
-        for offset, vec in stream_blocks(
-            model,
-            space,
-            class_name,
-            queueing=queueing,
-            service_overlap=service_overlap,
-            max_block_bytes=max_block_bytes,
-        ):
-            cls_name = vec.class_name
-            for name in ARRAY_FIELDS:
-                arrays[name][offset : offset + len(vec)] = getattr(vec, name)
-            blocks += 1
-        if obs.metrics_enabled():
-            obs.add("planner.stream_blocks", blocks)
-            obs.add("planner.stream_configs", total)
-        if scratch is not None:
-            # flush dirty pages, reopen read-only; unlinking keeps the
-            # mapping alive (the pages become anonymous-like, reclaimed
-            # when the arrays are garbage collected)
-            reopened = {}
-            for name in ARRAY_FIELDS:
-                mm = arrays[name]
-                mm.flush()  # type: ignore[attr-defined]
-                del mm
-                path = os.path.join(scratch, f"{name}.bin")
-                reopened[name] = np.memmap(
-                    path,
-                    dtype=parallel._field_dtype(name),
-                    mode="r",
-                    shape=(total,),
-                )
-            arrays = reopened
-    finally:
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
+    arrays = {
+        name: np.empty(total, dtype=parallel._field_dtype(name))
+        for name in ARRAY_FIELDS
+    }
+    cls_name = class_name or model.inputs.baseline_class
+    blocks = 0
+    for offset, length, sub in iter_block_spaces(space, max_block_bytes):
+        vec = vectorized._compute(
+            model, sub, class_name, queueing, service_overlap, instrument=False
+        )
+        cls_name = vec.class_name
+        for name in ARRAY_FIELDS:
+            arrays[name][offset : offset + length] = getattr(vec, name)
+        blocks += 1
+    if obs.metrics_enabled():
+        obs.add("planner.stream_blocks", blocks)
+        obs.add("planner.stream_configs", total)
+    for arr in arrays.values():
+        arr.setflags(write=False)
     space_ref = space if vectorized._is_grid(space) else tuple(space)
-    for name in ARRAY_FIELDS:
-        arr = arrays[name]
-        if not isinstance(arr, np.memmap):
-            arr.setflags(write=False)
-    return VectorizedEvaluation(
-        class_name=cls_name, space=space_ref, **arrays
-    )
-
-
-# ----------------------------------------------------------------------
-# streaming reductions
-# ----------------------------------------------------------------------
-
-#: Reduction objectives: ``(score source, constraint source)``.  Scores
-#: are minimized; constraints (when given) mark lanes infeasible.
-STREAM_OBJECTIVES = ("min_energy", "min_time", "max_ucr")
-
-
-@dataclass(frozen=True)
-class StreamedSelection:
-    """Rows selected by a streaming reduction, aligned with ``indices``.
-
-    ``indices`` are global flat positions in the space's canonical
-    iteration order; ``evaluation`` carries the selected rows' full
-    result columns (``space=None`` — configurations rebuild from the
-    arrays, exactly like disk-cache rehydration).
-    """
-
-    indices: np.ndarray
-    evaluation: VectorizedEvaluation
-    blocks: int
-    configs: int
-
-    def __len__(self) -> int:
-        return int(self.indices.shape[0])
-
-    @property
-    def best(self) -> Prediction | None:
-        """The top-ranked selection as a scalar-API prediction."""
-        return self.evaluation.prediction(0) if len(self) else None
-
-    def predictions(self) -> tuple[Prediction, ...]:
-        """All selected rows as scalar-API predictions."""
-        return self.evaluation.predictions
-
-
-def topk_merge(
-    scores: np.ndarray, indices: np.ndarray, k: int
-) -> np.ndarray:
-    """Positions of the ``k`` smallest scores, ties to the lowest index.
-
-    Matches ``np.argsort(kind="stable")[:k]`` over the full array (and
-    ``np.argmin`` for ``k=1``) when ``indices`` are the global flat
-    positions — which is what makes the streamed top-k selection exact.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    order = np.lexsort((indices, scores))
-    return order[: min(k, order.size)]
-
-
-def _block_scores(
-    vec: VectorizedEvaluation,
-    objective: str,
-    deadline_s: float | None,
-    budget_j: float | None,
-) -> np.ndarray:
-    """Per-lane minimization scores; infeasible lanes become ``+inf``."""
-    if objective == "min_energy":
-        scores = np.array(vec.energies_j, dtype=np.float64)
-        if deadline_s is not None:
-            scores = np.where(vec.times_s <= deadline_s, scores, np.inf)
-        return scores
-    if objective == "min_time":
-        scores = np.array(vec.times_s, dtype=np.float64)
-        if budget_j is not None:
-            scores = np.where(vec.energies_j <= budget_j, scores, np.inf)
-        return scores
-    if objective == "max_ucr":
-        return -np.array(vec.ucrs, dtype=np.float64)
-    raise ValueError(
-        f"unknown objective {objective!r}; choose from {STREAM_OBJECTIVES}"
-    )
-
-
-def _take_rows(
-    vec: VectorizedEvaluation, local: np.ndarray
-) -> dict[str, np.ndarray]:
-    """The selected rows of every result column of a block."""
-    return {name: np.array(getattr(vec, name)[local]) for name in ARRAY_FIELDS}
-
-
-def _concat_rows(
-    parts: list[dict[str, np.ndarray]]
-) -> dict[str, np.ndarray]:
-    """Concatenate row dicts column-wise (empty parts list allowed)."""
-    out = {}
-    for name in ARRAY_FIELDS:
-        dtype = parallel._field_dtype(name)
-        cols = [p[name] for p in parts]
-        out[name] = (
-            np.concatenate(cols)
-            if cols
-            else np.empty(0, dtype=dtype)
-        )
-    return out
-
-
-def _selection(
-    rows: dict[str, np.ndarray],
-    indices: np.ndarray,
-    class_name: str,
-    blocks: int,
-    configs: int,
-) -> StreamedSelection:
-    """Pack reduced rows into a :class:`StreamedSelection`."""
-    for name in ARRAY_FIELDS:
-        rows[name].setflags(write=False)
-    evaluation = VectorizedEvaluation(
-        class_name=class_name, space=None, **rows
-    )
-    indices = np.array(indices, dtype=np.int64)
-    indices.setflags(write=False)
-    return StreamedSelection(
-        indices=indices, evaluation=evaluation, blocks=blocks, configs=configs
-    )
-
-
-def stream_topk(
-    model: HybridProgramModel,
-    space: object,
-    k: int = 1,
-    *,
-    objective: str = "min_energy",
-    deadline_s: float | None = None,
-    budget_j: float | None = None,
-    class_name: str | None = None,
-    queueing: str = "bracketed",
-    service_overlap: bool = True,
-    max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES,
-) -> StreamedSelection:
-    """Top-k reduction over a block-streamed evaluation, O(block) memory.
-
-    Keeps a running candidate set of at most ``k`` feasible rows merged
-    per block; the final indices equal a stable argsort (lowest score,
-    ties to the lowest flat index) of the fully materialized scores —
-    exactly, because block lanes are bit-identical to materialized lanes
-    and the merge replicates the same tie-breaking.  Infeasible rows
-    (deadline/budget violations) never enter the candidate set; an
-    entirely infeasible space yields an empty selection.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if objective not in STREAM_OBJECTIVES:
-        raise ValueError(
-            f"unknown objective {objective!r}; choose from {STREAM_OBJECTIVES}"
-        )
-    if not obs.active():
-        return _stream_topk(
-            model,
-            space,
-            k,
-            objective,
-            deadline_s,
-            budget_j,
-            class_name,
-            queueing,
-            service_overlap,
-            max_block_bytes,
-        )
-    with obs.span("stream_topk", objective=objective, k=k) as sp:
-        selection = _stream_topk(
-            model,
-            space,
-            k,
-            objective,
-            deadline_s,
-            budget_j,
-            class_name,
-            queueing,
-            service_overlap,
-            max_block_bytes,
-        )
-        sp.set(blocks=selection.blocks, configs=selection.configs)
-    return selection
-
-
-def _stream_topk(
-    model: HybridProgramModel,
-    space: object,
-    k: int,
-    objective: str,
-    deadline_s: float | None,
-    budget_j: float | None,
-    class_name: str | None,
-    queueing: str,
-    service_overlap: bool,
-    max_block_bytes: int,
-) -> StreamedSelection:
-    cls_name = class_name or model.inputs.baseline_class
-    run_rows: dict[str, np.ndarray] | None = None
-    run_scores = np.empty(0, dtype=np.float64)
-    run_idx = np.empty(0, dtype=np.int64)
-    blocks = 0
-    configs = 0
-    for offset, vec in stream_blocks(
-        model,
-        space,
-        class_name,
-        queueing=queueing,
-        service_overlap=service_overlap,
-        max_block_bytes=max_block_bytes,
-    ):
-        blocks += 1
-        configs += len(vec)
-        cls_name = vec.class_name
-        scores = _block_scores(vec, objective, deadline_s, budget_j)
-        feasible = np.flatnonzero(np.isfinite(scores))
-        if feasible.size > k:
-            # block-local prefilter: only the block's own top-k can
-            # survive the merge (same stable tie-breaking)
-            feasible = feasible[
-                topk_merge(scores[feasible], feasible.astype(np.int64), k)
-            ]
-        if not feasible.size:
-            continue
-        cand_scores = np.concatenate((run_scores, scores[feasible]))
-        cand_idx = np.concatenate(
-            (run_idx, (offset + feasible).astype(np.int64))
-        )
-        cand_rows = _concat_rows(
-            ([run_rows] if run_rows is not None else [])
-            + [_take_rows(vec, feasible)]
-        )
-        keep = topk_merge(cand_scores, cand_idx, k)
-        run_scores = cand_scores[keep]
-        run_idx = cand_idx[keep]
-        run_rows = {name: cand_rows[name][keep] for name in ARRAY_FIELDS}
-    if run_rows is None:
-        run_rows = _concat_rows([])
-    if obs.metrics_enabled():
-        obs.add("planner.stream_blocks", blocks)
-        obs.add("planner.stream_configs", configs)
-    return _selection(run_rows, run_idx, cls_name, blocks, configs)
-
-
-def stream_pareto(
-    model: HybridProgramModel,
-    space: object,
-    class_name: str | None = None,
-    *,
-    queueing: str = "bracketed",
-    service_overlap: bool = True,
-    max_block_bytes: int = DEFAULT_MAX_BLOCK_BYTES,
-) -> StreamedSelection:
-    """Running-Pareto reduction over a block-streamed evaluation.
-
-    Per block, the running frontier is merged with the block's own
-    frontier and re-filtered through
-    :func:`repro.core.pareto.pareto_mask`.  The final membership equals
-    the materialized mask *exactly*: Pareto(A ∪ B) = Pareto(Pareto(A) ∪
-    B), candidates stay in ascending flat-index order (running indices
-    always precede the block's), and the mask's duplicate rule (first
-    occurrence in array order wins) therefore keeps the same indices the
-    materialized pass keeps.  Memory is O(frontier + block), never
-    O(space).
-    """
-    if not obs.active():
-        return _stream_pareto(
-            model, space, class_name, queueing, service_overlap, max_block_bytes
-        )
-    with obs.span("stream_pareto") as sp:
-        selection = _stream_pareto(
-            model, space, class_name, queueing, service_overlap, max_block_bytes
-        )
-        sp.set(
-            blocks=selection.blocks,
-            configs=selection.configs,
-            frontier=len(selection),
-        )
-    return selection
-
-
-def _stream_pareto(
-    model: HybridProgramModel,
-    space: object,
-    class_name: str | None,
-    queueing: str,
-    service_overlap: bool,
-    max_block_bytes: int,
-) -> StreamedSelection:
-    from repro.core.pareto import pareto_mask
-
-    cls_name = class_name or model.inputs.baseline_class
-    run_rows: dict[str, np.ndarray] | None = None
-    run_idx = np.empty(0, dtype=np.int64)
-    blocks = 0
-    configs = 0
-    for offset, vec in stream_blocks(
-        model,
-        space,
-        class_name,
-        queueing=queueing,
-        service_overlap=service_overlap,
-        max_block_bytes=max_block_bytes,
-    ):
-        blocks += 1
-        configs += len(vec)
-        cls_name = vec.class_name
-        local = np.flatnonzero(pareto_mask(vec.times_s, vec.energies_j))
-        if not local.size:
-            continue
-        cand_rows = _concat_rows(
-            ([run_rows] if run_rows is not None else [])
-            + [_take_rows(vec, local)]
-        )
-        cand_idx = np.concatenate(
-            (run_idx, (offset + local).astype(np.int64))
-        )
-        keep = pareto_mask(cand_rows["times_s"], cand_rows["energies_j"])
-        run_idx = cand_idx[keep]
-        run_rows = {name: cand_rows[name][keep] for name in ARRAY_FIELDS}
-    if run_rows is None:
-        run_rows = _concat_rows([])
-    if obs.metrics_enabled():
-        obs.add("planner.stream_blocks", blocks)
-        obs.add("planner.stream_configs", configs)
-    return _selection(run_rows, run_idx, cls_name, blocks, configs)
+    return VectorizedEvaluation(class_name=cls_name, space=space_ref, **arrays)
 
 
 # ----------------------------------------------------------------------

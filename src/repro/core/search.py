@@ -355,74 +355,3 @@ def _evaluate_chunk(
     Uncached: ad-hoc candidate subsets would only churn the space LRU.
     """
     return evaluate_many(model, configs, cls).predictions
-
-
-# ----------------------------------------------------------------------
-# streamed variants (block-bounded memory)
-# ----------------------------------------------------------------------
-
-
-def stream_min_energy_within_deadline(
-    model: HybridProgramModel,
-    space: object,
-    deadline_s: float,
-    class_name: str | None = None,
-    *,
-    k: int = 1,
-    max_block_bytes: int | None = None,
-):
-    """Deadline-constrained minimum-energy search, O(block) memory.
-
-    The streamed counterpart of :func:`search_min_energy_within_deadline`
-    for spaces too large to materialize: blocks flow through
-    :func:`repro.core.planner.stream_topk`, which keeps only a running
-    top-``k`` candidate set.  Returns a
-    :class:`~repro.core.planner.StreamedSelection` whose ``.best`` is the
-    winning :class:`~repro.core.model.Prediction` (``None`` when no
-    configuration meets the deadline); winner indices are exactly the
-    materialized optimizer's (same stable tie-breaking).
-    """
-    from repro.core import planner
-
-    kwargs = {} if max_block_bytes is None else {
-        "max_block_bytes": max_block_bytes
-    }
-    return planner.stream_topk(
-        model,
-        space,
-        k,
-        objective="min_energy",
-        deadline_s=deadline_s,
-        class_name=class_name,
-        **kwargs,
-    )
-
-
-def stream_min_time_within_budget(
-    model: HybridProgramModel,
-    space: object,
-    budget_j: float,
-    class_name: str | None = None,
-    *,
-    k: int = 1,
-    max_block_bytes: int | None = None,
-):
-    """Energy-budgeted minimum-time search, O(block) memory.
-
-    The streamed counterpart of :func:`search_min_time_within_budget`;
-    see :func:`stream_min_energy_within_deadline` for the contract.
-    """
-    from repro.core import planner
-
-    kwargs = {} if max_block_bytes is None else {
-        "max_block_bytes": max_block_bytes
-    }
-    return planner.stream_topk(
-        model,
-        space,
-        k,
-        objective="min_time",
-        budget_j=budget_j,
-        class_name=class_name,
-        **kwargs,
-    )

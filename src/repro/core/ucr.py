@@ -175,34 +175,3 @@ def ucr_upper_bound(
     return model.predict(
         Configuration(nodes=1, cores=1, frequency_hz=fmin), class_name
     )
-
-
-def stream_ucr_best(
-    model: HybridProgramModel,
-    space: ConfigSpace | Sequence[Configuration],
-    class_name: str | None = None,
-    *,
-    k: int = 1,
-    max_block_bytes: int | None = None,
-) -> list[tuple[Prediction, UCRDecomposition]]:
-    """The ``k`` highest-UCR configurations of a huge space, O(block) memory.
-
-    Streams the space through :func:`repro.core.planner.stream_topk`
-    (objective ``max_ucr``; ties go to the earliest configuration in
-    canonical order, exactly like ``np.argmax`` over the materialized
-    ``ucrs`` array) and decomposes only the winners through
-    :func:`ucr_decomposition`.  Returns ``(prediction, decomposition)``
-    pairs in rank order.
-    """
-    from repro.core import planner
-
-    kwargs = {} if max_block_bytes is None else {
-        "max_block_bytes": max_block_bytes
-    }
-    selection = planner.stream_topk(
-        model, space, k, objective="max_ucr", class_name=class_name, **kwargs
-    )
-    return [
-        (pred, ucr_decomposition(model, pred))
-        for pred in selection.predictions()
-    ]

@@ -154,112 +154,3 @@ class WhatIf:
         if obs.metrics_enabled():
             obs.add("whatif.comparisons")
         return delta
-
-    def compare_streamed(
-        self,
-        variant: HybridProgramModel,
-        space: ConfigSpace | Sequence[Configuration],
-        class_name: str | None = None,
-        *,
-        max_block_bytes: int | None = None,
-    ) -> "StreamedSpaceDelta":
-        """Base-vs-variant comparison of a space too large to materialize.
-
-        Streams both models block by block in lockstep (identical block
-        boundaries, so deltas subtract aligned configurations) and keeps
-        only running summaries.  Min/max deltas are exact — each block's
-        per-configuration deltas are bit-identical to the materialized
-        ones — while the means accumulate block sums (equal to the
-        materialized mean within floating-point reassociation, well
-        inside the pinned 1e-9 tolerance).
-        """
-        from repro.core import planner
-
-        kwargs = {} if max_block_bytes is None else {
-            "max_block_bytes": max_block_bytes
-        }
-        base_blocks = planner.stream_blocks(
-            self.model, space, class_name, **kwargs
-        )
-        variant_blocks = planner.stream_blocks(
-            variant, space, class_name, **kwargs
-        )
-        configs = 0
-        sums = np.zeros(3)
-        mins = np.full(3, np.inf)
-        maxs = np.full(3, -np.inf)
-        if not obs.active():
-            return self._accumulate_streamed(
-                base_blocks, variant_blocks, configs, sums, mins, maxs
-            )
-        with obs.span("whatif_streamed") as sp:
-            delta = self._accumulate_streamed(
-                base_blocks, variant_blocks, configs, sums, mins, maxs
-            )
-            sp.set(configs=delta.configs)
-        if obs.metrics_enabled():
-            obs.add("whatif.comparisons")
-        return delta
-
-    @staticmethod
-    def _accumulate_streamed(
-        base_blocks, variant_blocks, configs, sums, mins, maxs
-    ) -> "StreamedSpaceDelta":
-        """Fold lockstep block pairs into running delta summaries."""
-        for (b_off, b_vec), (v_off, v_vec) in zip(base_blocks, variant_blocks):
-            assert b_off == v_off and len(b_vec) == len(v_vec)
-            if not len(b_vec):
-                continue
-            deltas = (
-                v_vec.times_s - b_vec.times_s,
-                v_vec.energies_j - b_vec.energies_j,
-                v_vec.ucrs - b_vec.ucrs,
-            )
-            configs += len(b_vec)
-            for i, d in enumerate(deltas):
-                sums[i] += float(d.sum())
-                mins[i] = min(mins[i], float(d.min()))
-                maxs[i] = max(maxs[i], float(d.max()))
-        if not configs:
-            sums = np.zeros(3)
-            mins = np.zeros(3)
-            maxs = np.zeros(3)
-        return StreamedSpaceDelta(
-            configs=configs,
-            time_delta_min_s=float(mins[0]),
-            time_delta_max_s=float(maxs[0]),
-            time_delta_mean_s=float(sums[0] / configs) if configs else 0.0,
-            energy_delta_min_j=float(mins[1]),
-            energy_delta_max_j=float(maxs[1]),
-            energy_delta_mean_j=float(sums[1] / configs) if configs else 0.0,
-            ucr_delta_min=float(mins[2]),
-            ucr_delta_max=float(maxs[2]),
-            ucr_delta_mean=float(sums[2] / configs) if configs else 0.0,
-        )
-
-
-@dataclass(frozen=True)
-class StreamedSpaceDelta:
-    """Summary deltas of a block-streamed what-if comparison.
-
-    Unlike :class:`SpaceDelta` this holds no per-configuration arrays —
-    only the min/max/mean of each delta over the space — so memory stays
-    O(1) however large the space.  ``best_energy_saving_j`` matches
-    :attr:`SpaceDelta.best_energy_saving_j` exactly.
-    """
-
-    configs: int
-    time_delta_min_s: float
-    time_delta_max_s: float
-    time_delta_mean_s: float
-    energy_delta_min_j: float
-    energy_delta_max_j: float
-    energy_delta_mean_j: float
-    ucr_delta_min: float
-    ucr_delta_max: float
-    ucr_delta_mean: float
-
-    @property
-    def best_energy_saving_j(self) -> float:
-        """Largest per-configuration energy saving over the space."""
-        return -self.energy_delta_min_j if self.configs else 0.0

@@ -90,8 +90,9 @@ class AtomicIoChecker:
     ) -> Iterator[Finding]:
         aliases = import_aliases(module.tree)
         for func_node, calls in _functions_with_calls(module.tree):
-            buffers = _memory_buffers(func_node, aliases)
-            has_rename = _has_rename(calls, aliases)
+            # the scope facts are only needed once a write is in scope
+            buffers: set[str] | None = None
+            has_rename: bool | None = None
             for call in calls:
                 resolved = (
                     resolve_dotted(call.func, aliases)
@@ -108,6 +109,9 @@ class AtomicIoChecker:
                 )
                 if not in_scope:
                     continue
+                if buffers is None:
+                    buffers = _memory_buffers(func_node, aliases)
+                    has_rename = _has_rename(calls, aliases)
                 if isinstance(target, ast.Name) and target.id in buffers:
                     continue  # in-memory staging buffer, not a file
                 if has_rename and "tmp" in target_text.lower():
@@ -131,38 +135,28 @@ def _functions_with_calls(
 ) -> Iterator[tuple[ast.AST, list[ast.Call]]]:
     """Yield (scope node, calls) for each function plus the module body.
 
-    Module-level writes get the module itself as their scope so the
-    tmp+rename detection still has something to look at.
+    One recursive visit assigns every call to its innermost enclosing
+    function (decorators and defaults included); module-level writes get
+    the module itself as their scope so the tmp+rename detection still
+    has something to look at.
     """
-    function_nodes: list[ast.FunctionDef | ast.AsyncFunctionDef] = [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    ]
-    claimed: set[int] = set()
-    for func in function_nodes:
-        calls = [n for n in ast.walk(func) if isinstance(n, ast.Call)]
-        nested = {
-            id(n)
-            for sub in function_nodes
-            if sub is not func and _contains(func, sub)
-            for n in ast.walk(sub)
-            if isinstance(n, ast.Call)
-        }
-        own = [c for c in calls if id(c) not in nested]
-        claimed.update(id(c) for c in calls)
-        yield func, own
-    module_calls = [
-        n
-        for n in ast.walk(tree)
-        if isinstance(n, ast.Call) and id(n) not in claimed
-    ]
+    scopes: dict[ast.AST, list[ast.Call]] = {tree: []}
+
+    def visit(node: ast.AST, owner: ast.AST) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes[child] = []
+                visit(child, child)
+                continue
+            if isinstance(child, ast.Call):
+                scopes[owner].append(child)
+            visit(child, owner)
+
+    visit(tree, tree)
+    module_calls = scopes.pop(tree)
+    yield from scopes.items()
     if module_calls:
         yield tree, module_calls
-
-
-def _contains(outer: ast.AST, inner: ast.AST) -> bool:
-    return any(node is inner for node in ast.walk(outer))
 
 
 def _memory_buffers(scope: ast.AST, aliases: dict[str, str]) -> set[str]:

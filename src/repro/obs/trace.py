@@ -2,10 +2,12 @@
 
 A span is a named, timed section of the pipeline
 (``characterize`` → ``predict`` → ``evaluate_space`` → ``search`` …)
-opened as a context manager.  Spans nest: the tracer keeps an open-span
-stack, each finished span records its parent's index, and the JSONL
-export (one JSON object per line) preserves start order so traces can
-be replayed or diffed.
+opened as a context manager.  Spans nest: the innermost open span lives
+in a :class:`contextvars.ContextVar`, so each thread and each asyncio
+task nests under its own open span (a task inherits the span it was
+created under; a bare thread starts at the root).  Every span records
+its parent's index, and the JSONL export (one JSON object per line)
+preserves start order so traces can be replayed or diffed.
 
 Timings use :func:`time.perf_counter` — monotonic, immune to wall-clock
 steps.  ``start_s`` values are offsets from the tracer's creation.
@@ -13,7 +15,9 @@ steps.  ``start_s`` values are offsets from the tracer's creation.
 
 from __future__ import annotations
 
+import contextvars
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Any, TextIO
@@ -48,11 +52,12 @@ class SpanRecord:
 class Span:
     """Context manager recording one span into a tracer."""
 
-    __slots__ = ("_tracer", "record")
+    __slots__ = ("_tracer", "record", "_token")
 
     def __init__(self, tracer: "Tracer", record: SpanRecord) -> None:
         self._tracer = tracer
         self.record = record
+        self._token: contextvars.Token[Span | None] | None = None
 
     def set(self, **attrs: Any) -> "Span":
         """Attach attributes to the span (chainable)."""
@@ -67,45 +72,54 @@ class Span:
         return False
 
 
+#: The innermost open span of the running thread or task.
+_CURRENT_SPAN: contextvars.ContextVar[Span | None] = contextvars.ContextVar(
+    "repro_current_span", default=None
+)
+
+
 class Tracer:
     """Collects spans; bounded so runaway loops cannot exhaust memory."""
 
     def __init__(self, max_spans: int = 100_000) -> None:
         self.max_spans = max_spans
-        self.spans: list[SpanRecord] = []
-        self.dropped = 0
+        self.spans: list[SpanRecord] = []  # guarded-by: _lock (writes)
+        self.dropped = 0  # guarded-by: _lock (writes)
         self._t0 = time.perf_counter()
-        self._stack: list[int] = []
+        self._lock = threading.Lock()
 
     def span(self, name: str, attrs: dict[str, Any] | None = None) -> Span:
         """Open a span; close it by exiting the returned context manager."""
         now = time.perf_counter() - self._t0
-        if len(self.spans) >= self.max_spans:
-            self.dropped += 1
-            record = SpanRecord(index=-1, name=name, start_s=now)
-            return Span(self, record)
+        current = _CURRENT_SPAN.get()
+        parent = (
+            current.record.index
+            if current is not None and current._tracer is self
+            else None
+        )
         record = SpanRecord(
-            index=len(self.spans),
+            index=-1,
             name=name,
             start_s=now,
-            parent=self._stack[-1] if self._stack else None,
+            parent=parent,
             attrs=dict(attrs) if attrs else {},
         )
-        self.spans.append(record)
-        self._stack.append(record.index)
-        return Span(self, record)
+        with self._lock:
+            if len(self.spans) >= self.max_spans:
+                self.dropped += 1
+                return Span(self, record)
+            record.index = len(self.spans)
+            self.spans.append(record)
+        span = Span(self, record)
+        span._token = _CURRENT_SPAN.set(span)
+        return span
 
     def _finish(self, span: Span) -> None:
         record = span.record
         record.duration_s = time.perf_counter() - self._t0 - record.start_s
-        if record.index >= 0 and self._stack and self._stack[-1] == record.index:
-            self._stack.pop()
-        elif record.index >= 0 and record.index in self._stack:
-            # out-of-order close: unwind to keep parents consistent
-            while self._stack and self._stack[-1] != record.index:
-                self._stack.pop()
-            if self._stack:
-                self._stack.pop()
+        if span._token is not None:
+            _CURRENT_SPAN.reset(span._token)
+            span._token = None
 
     def names(self) -> set[str]:
         """Distinct span names recorded so far."""

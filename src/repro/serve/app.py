@@ -20,9 +20,10 @@ Request path for the five query endpoints (``POST /v1/<endpoint>``):
    receives the same bytes object.
 5. **Compute** in a worker thread, under the execution context the app
    was created in (CLI flags, resilience): models are built once per
-   ``(cluster, program)``, evaluations check the persistent
-   :class:`~repro.core.cache.ResultCache` warm tier before calling the
-   vectorized engine, and fresh results are written back to it.
+   ``(cluster, program)``, evaluations check that context's persistent
+   :class:`~repro.core.cache.ResultCache` warm tier (``--cache-dir``,
+   ``use(cache=...)``) before calling the vectorized engine, and fresh
+   results are written back to it once.
 
 Every stage is observable: spans on each request, counters for
 coalescing/caching/admission, and the Prometheus text exposition at
@@ -46,7 +47,7 @@ import numpy as np
 
 from repro import obs
 from repro.context import current, use
-from repro.core.cache import ResultCache, entry_identity
+from repro.core.cache import entry_identity
 from repro.core.configspace import ConfigSpace
 from repro.core.model import HybridProgramModel
 from repro.core.pareto import pareto_mask
@@ -143,12 +144,12 @@ class ServeApp:
     metrics registry so endpoint counters and ``/metrics`` work out of
     the box, and captures the current
     :class:`~repro.context.ExecutionContext` (worker bound, block budget,
-    resilience) that every engine evaluation then runs under.
+    resilience) that every engine evaluation then runs under; the
+    context's ``cache`` is the app's persistent warm tier.
     """
 
     def __init__(
         self,
-        cache_dir: str | None = None,
         rate: float = 0.0,
         burst: float | None = None,
         response_cache_size: int = DEFAULT_RESPONSE_CACHE_SIZE,
@@ -164,7 +165,6 @@ class ServeApp:
         # recorded in /metrics as plan_selected_total{strategy=…}; every
         # strategy returns the same bytes.
         self._context = current()
-        self.result_cache = ResultCache(cache_dir) if cache_dir else None
         self.limiter = TokenBucket(rate, burst, clock=clock)
         self.client_limiter = KeyedTokenBuckets(
             client_rate, client_burst, clock=clock
@@ -347,7 +347,11 @@ class ServeApp:
     def _evaluate(
         self, query: Query, model: HybridProgramModel, space: ConfigSpace
     ) -> VectorizedEvaluation:
-        """Warm tier first, then the engine (recorded as an engine call)."""
+        """Warm tier first, then the engine (recorded as an engine call).
+
+        The engine runs with the context's cache switched off, so a cold
+        query probes and writes the warm tier exactly once.
+        """
         cls = query.class_name or model.inputs.baseline_class
         if cls not in model.program.classes:
             raise QueryError(
@@ -355,12 +359,13 @@ class ServeApp:
                 f"unknown input class {cls!r} for {query.program}; "
                 f"choose from {', '.join(sorted(model.program.classes))}",
             )
+        warm_tier = self._context.cache
         identity = None
-        if self.result_cache is not None:
+        if warm_tier is not None:
             identity = entry_identity(
                 model, space, cls, query.queueing, query.service_overlap
             )
-            warm = self.result_cache.get(identity)
+            warm = warm_tier.get(identity)
             if warm is not None:
                 obs.add("serve.cache.warm_hits")
                 return warm
@@ -369,7 +374,7 @@ class ServeApp:
         with self._stats_lock:
             self.engine_calls += 1
         obs.add("serve.engine_calls")
-        with use(self._context):
+        with use(self._context, cache=None):
             result = evaluate_configs(
                 model,
                 space,
@@ -378,7 +383,7 @@ class ServeApp:
                 service_overlap=query.service_overlap,
             )
         if identity is not None:
-            self.result_cache.put(identity, result)
+            warm_tier.put(identity, result)
         return result
 
     def _compute_sync(self, query: Query) -> dict:
@@ -697,7 +702,6 @@ def run_server(
     port: int = 8765,
     rate: float = 0.0,
     burst: float | None = None,
-    cache_dir: str | None = None,
     client_rate: float = 0.0,
     client_burst: float | None = None,
     engine_workers: int = DEFAULT_ENGINE_WORKERS,
@@ -706,14 +710,13 @@ def run_server(
 
     ``rate``/``burst`` configure the service-wide token bucket and
     ``client_rate``/``client_burst`` the per-client buckets (0 disables
-    either layer); ``cache_dir`` enables the persistent
-    :class:`ResultCache` warm tier; ``engine_workers`` sizes
-    the bounded thread pool engine evaluations run in
-    (``repro serve --engine-workers``).  Engine evaluations run under the
-    caller's :class:`~repro.context.ExecutionContext`.
+    either layer); ``engine_workers`` sizes the bounded thread pool
+    engine evaluations run in (``repro serve --engine-workers``).  Engine
+    evaluations run under the caller's
+    :class:`~repro.context.ExecutionContext`, whose ``cache`` is the
+    persistent warm tier.
     """
     app = ServeApp(
-        cache_dir=cache_dir,
         rate=rate,
         burst=burst,
         client_rate=client_rate,

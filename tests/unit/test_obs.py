@@ -147,6 +147,111 @@ class TestTracer:
         assert tracer.names() == {"a", "b"}
 
 
+def _subtrees(tracer):
+    """``{owner: (outer, inner)}`` from spans tagged with an owner attr."""
+    trees = {}
+    for record in tracer.spans:
+        if record.name in ("outer", "inner"):
+            trees.setdefault(record.attrs["owner"], {})[record.name] = record
+    return {k: (v["outer"], v["inner"]) for k, v in trees.items()}
+
+
+class TestTracerConcurrency:
+    """Interleaved threads and tasks each nest under their own spans."""
+
+    def test_interleaved_threads_give_disjoint_subtrees(self):
+        import threading
+
+        tracer = Tracer()
+        owners = ("a", "b", "c", "d")
+        barrier = threading.Barrier(len(owners), timeout=10)
+
+        def work(owner):
+            # every thread opens outer, then inner, then closes both in
+            # lockstep, so each step interleaves with the other threads
+            with tracer.span("outer", {"owner": owner}):
+                barrier.wait()
+                with tracer.span("inner", {"owner": owner}):
+                    barrier.wait()
+                barrier.wait()
+
+        threads = [threading.Thread(target=work, args=(o,)) for o in owners]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        trees = _subtrees(tracer)
+        assert set(trees) == set(owners)
+        for outer, inner in trees.values():
+            assert outer.parent is None
+            assert inner.parent == outer.index
+
+    def test_index_assignment_survives_thread_stress(self):
+        import sys
+        import threading
+
+        tracer = Tracer()
+        threads_n, spans_n = 8, 200
+
+        def work(owner):
+            for _ in range(spans_n):
+                with tracer.span("outer", {"owner": owner}):
+                    with tracer.span("inner", {"owner": owner}):
+                        pass
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(threads_n)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        # every span landed once, at the index it was assigned
+        assert [r.index for r in tracer.spans] == list(
+            range(2 * threads_n * spans_n)
+        )
+        for record in tracer.spans:
+            if record.name == "inner":
+                parent = tracer.spans[record.parent]
+                assert parent.name == "outer"
+                assert parent.attrs["owner"] == record.attrs["owner"]
+            else:
+                assert record.parent is None
+
+    def test_interleaved_tasks_give_disjoint_subtrees(self):
+        import asyncio
+
+        tracer = Tracer()
+        owners = ("a", "b", "c", "d")
+
+        async def work(owner):
+            with tracer.span("outer", {"owner": owner}):
+                await asyncio.sleep(0)
+                with tracer.span("inner", {"owner": owner}):
+                    await asyncio.sleep(0)
+                await asyncio.sleep(0)
+
+        async def main():
+            with tracer.span("root") as root:
+                await asyncio.gather(*(work(o) for o in owners))
+            return root.record.index
+
+        root = asyncio.run(main())
+        trees = _subtrees(tracer)
+        assert set(trees) == set(owners)
+        for outer, inner in trees.values():
+            assert outer.parent == root
+            assert inner.parent == outer.index
+
+
 class TestFacade:
     def test_noop_by_default(self):
         assert not obs.active()

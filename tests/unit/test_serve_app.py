@@ -9,6 +9,9 @@ import threading
 import pytest
 
 from repro import obs
+from repro.context import use
+from repro.core.cache import ResultCache
+from repro.core.vectorized import clear_evaluation_cache
 from repro.serve.app import ServeApp, canonical_json, start_server
 
 #: A deliberately tiny space so each engine evaluation is milliseconds.
@@ -239,31 +242,72 @@ def test_response_lru_serves_repeats_without_engine_calls(make_app):
 
 
 def test_result_cache_warm_cold_round_trip(make_app, tmp_path):
-    cache_dir = str(tmp_path / "warm")
+    cache_dir = tmp_path / "warm"
 
-    async def cold():
-        app = make_app(cache_dir=cache_dir)
+    async def cold(cache):
+        app = make_app()
         _, _, payload = await app.handle(
             "POST", "/v1/evaluate_space", _body()
         )
         assert app.engine_calls == 1
-        assert len(app.result_cache.entries()) == 1
+        assert len(cache.entries()) == 1
         return payload
 
-    async def warm():
-        app = make_app(cache_dir=cache_dir)
+    async def warm(cache):
+        app = make_app()
         _, _, payload = await app.handle(
             "POST", "/v1/evaluate_space", _body()
         )
         # served entirely from the persistent tier: no engine call
         assert app.engine_calls == 0
-        assert app.result_cache.hits == 1
+        assert cache.hits == 1
         assert obs.counter_value("serve.cache.warm_hits") >= 1
         return payload
 
-    cold_payload = asyncio.run(cold())
-    warm_payload = asyncio.run(warm())
+    # the app's warm tier is the cache of the context it is created in
+    with use(cache=ResultCache(cache_dir)) as ctx:
+        cold_payload = asyncio.run(cold(ctx.cache))
+    clear_evaluation_cache()
+    with use(cache=ResultCache(cache_dir)) as ctx:
+        warm_payload = asyncio.run(warm(ctx.cache))
     assert warm_payload == cold_payload
+
+
+def test_cli_serve_cold_query_touches_the_warm_tier_once(
+    tmp_path, monkeypatch
+):
+    """``repro --cache-dir D serve``: one cold query, one ``get``, one ``put``."""
+    from repro.cli.main import main
+    from repro.serve import app as serve_app
+
+    calls = {"get": 0, "put": 0}
+    real_get, real_put = ResultCache.get, ResultCache.put
+
+    def counting_get(self, identity):
+        calls["get"] += 1
+        return real_get(self, identity)
+
+    def counting_put(self, identity, evaluation):
+        calls["put"] += 1
+        return real_put(self, identity, evaluation)
+
+    monkeypatch.setattr(ResultCache, "get", counting_get)
+    monkeypatch.setattr(ResultCache, "put", counting_put)
+    payloads = []
+
+    async def one_query(app, host, port):
+        status, _, payload = await app.handle(
+            "POST", "/v1/evaluate_space", _body()
+        )
+        assert status == 200
+        payloads.append(payload)
+        return 0
+
+    monkeypatch.setattr(serve_app, "_serve_forever", one_query)
+    clear_evaluation_cache()
+    assert main(["--cache-dir", str(tmp_path), "serve", "--port", "0"]) == 0
+    assert calls == {"get": 1, "put": 1}
+    obs.disable()
 
 
 # ---------------------------------------------------------------------

@@ -10,6 +10,7 @@ import pytest
 from repro import obs
 from repro.context import use
 from repro.core import parallel, planner
+from repro.core.cache import ResultCache
 from repro.core.vectorized import clear_evaluation_cache
 from repro.serve.app import ServeApp
 
@@ -43,9 +44,9 @@ def make_app(shared_models):
     """Factory for fresh apps preloaded with the shared model registry."""
     models, specs = shared_models
 
-    def make(max_block_bytes=None, **kwargs) -> ServeApp:
+    def make(max_block_bytes=None, cache=None, **kwargs) -> ServeApp:
         # the app captures the execution context it is created in
-        with use(max_block_bytes=max_block_bytes):
+        with use(max_block_bytes=max_block_bytes, cache=cache):
             app = ServeApp(**kwargs)
         app._models.update(models)
         app._specs.update(specs)
@@ -156,11 +157,11 @@ def test_response_lru_and_coalescer_unaffected_by_strategy(make_app):
 
 def test_warm_tier_serves_streamed_results(make_app, tmp_path):
     async def run():
-        app = make_app(cache_dir=str(tmp_path), max_block_bytes=1024)
+        app = make_app(cache=ResultCache(tmp_path), max_block_bytes=1024)
         first = await _query(app, _body())
         clear_evaluation_cache()
         # a fresh app sharing only the disk tier answers from it
-        other = make_app(cache_dir=str(tmp_path))
+        other = make_app(cache=ResultCache(tmp_path))
         second = await _query(other, _body())
         assert second == first
         assert other.engine_calls == 0
