@@ -229,46 +229,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "plan",
-        help="execution planner utilities: calibrate the cost model from "
-        "bench reports, or explain a decision (docs/PLANNER.md)",
+        help="execution planner utilities: explain a decision (docs/PLANNER.md)",
     )
     plan_sub = p.add_subparsers(dest="plan_command", required=True)
-    pc = plan_sub.add_parser(
-        "calibrate",
-        help="fit the planner cost model from the committed bench JSONs",
-    )
-    pc.add_argument(
-        "--bench-dir",
-        default="benchmarks/out",
-        metavar="DIR",
-        help="directory holding vectorized_speedup.json (+ optional "
-        "parallel_speedup.json)",
-    )
-    pc.add_argument(
-        "--output",
-        default="planner_calibration.json",
-        metavar="CALIBRATION.json",
-        help="where to write the calibration (point "
-        "REPRO_PLANNER_CALIBRATION here to use it)",
-    )
     pe = plan_sub.add_parser(
         "explain",
-        help="print the strategy the planner would pick and why",
+        help="print the strategy the planner would pick under the global "
+        "--workers/--max-block-bytes, and why",
     )
     pe.add_argument(
         "--configs", type=int, required=True, metavar="N",
         help="sweep size in configurations",
-    )
-    pe.add_argument(
-        "--plan-workers", type=int, default=1, metavar="N",
-        help="worker bound of the execution context being considered",
-    )
-    pe.add_argument(
-        "--calibration",
-        default=None,
-        metavar="CALIBRATION.json",
-        help="use this saved calibration instead of "
-        "REPRO_PLANNER_CALIBRATION / the fallback table",
     )
 
     p = sub.add_parser(
@@ -808,46 +779,19 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.context import current
     from repro.core import planner
 
-    if args.plan_command == "calibrate":
-        try:
-            cost_model = planner.calibrate(args.bench_dir)
-        except planner.CalibrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        path = planner.save_cost_model(cost_model, args.output)
-        print(f"wrote calibration -> {path}")
-        print(
-            f"  vectorized {cost_model.vectorized_base_s:.3e} s + "
-            f"{cost_model.vectorized_per_config_s:.3e} s/config"
-        )
-        print(
-            f"  shard dispatch {cost_model.shard_dispatch_s:.3e} s + "
-            f"{cost_model.shard_overhead_per_config_s:.3e} s/config, "
-            f"calibration host cpus {cost_model.cpus}"
-        )
-        return 0
-    assert args.plan_command == "explain"
-    cost_model = None
-    if args.calibration is not None:
-        try:
-            cost_model = planner.load_cost_model(args.calibration)
-        except planner.CalibrationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    context = current()
     decision = planner.decide(
         args.configs,
-        workers=args.plan_workers,
-        cost_model=cost_model,
-        max_block_bytes=args.max_block_bytes,
+        workers=context.workers,
+        max_block_bytes=context.max_block_bytes,
     )
     print(f"strategy: {decision.strategy}")
     print(f"  configs {decision.size}, effective workers {decision.workers}")
     print(f"  streamed: {decision.streamed}")
     print(f"  reason: {decision.reason}")
-    for name, estimate in decision.estimates:
-        print(f"  estimate {name}: {estimate:.3e} s")
     return 0
 
 

@@ -7,7 +7,8 @@ pins one core while the rest idle.  This module shards a space across
 worker processes.  It is the planner's ``sharded`` strategy
 (:func:`repro.core.planner.execute`), chosen only when the ambient
 :class:`~repro.context.ExecutionContext` allows more than one worker,
-the host has more than one CPU and the cost model says it pays::
+the host has more than one CPU and the sweep is large enough for
+:func:`repro.core.planner.shard_pays` (250,000 configs at 2 workers)::
 
     with use(workers=4):
         evaluation = evaluate_space(model, space)   # sharded if it pays
@@ -30,9 +31,7 @@ Guarantees:
 
 The worker pool is persistent (created lazily, reused across sweeps,
 shut down at interpreter exit) so repeated sweeps do not re-pay process
-startup.  Sweeps below :data:`MIN_PARALLEL_CONFIGS` never shard:
-sharding a few hundred configurations would cost more in dispatch than
-it saves in compute.
+startup.
 """
 
 from __future__ import annotations
@@ -55,10 +54,6 @@ import numpy as np
 from repro import obs
 from repro.core import vectorized
 from repro.core.cache import ARRAY_FIELDS
-
-#: Below this many configurations a sweep never shards: process dispatch
-#: would dominate the broadcast compute.
-MIN_PARALLEL_CONFIGS = 4096
 
 #: Shards per worker; >1 load-balances the fixed-point iteration skew
 #: (high node counts iterate longer than single-node lanes).
@@ -118,7 +113,7 @@ def effective_workers(requested: int) -> int:
     """``requested`` workers clamped to the CPUs actually available.
 
     Sharding across more processes than cores is a recorded pessimization
-    (0.67x at 4 workers on a 1-CPU host, ``parallel_speedup.json``):
+    (0.67x at 4 workers on a 1-CPU host):
     every extra process adds dispatch and serialization cost but no
     parallel compute.  The planner shards at this width and never shards
     when it yields 1.

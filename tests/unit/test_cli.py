@@ -110,3 +110,40 @@ def test_workers_flag_leaves_output_bytes_unchanged(capsys):
     plain = capsys.readouterr().out
     assert main(["--workers", "2", *argv]) == 0
     assert capsys.readouterr().out == plain
+
+
+def _explain(argv, capsys):
+    assert main(argv) == 0
+    return capsys.readouterr().out
+
+
+def test_plan_explain_paper_space_is_vectorized(capsys):
+    out = _explain(["plan", "explain", "--configs", "216"], capsys)
+    assert out.startswith("strategy: vectorized\n")
+    assert "configs 216, effective workers 1" in out
+    assert "streamed: False" in out
+
+
+def test_plan_explain_reads_the_global_block_budget(capsys):
+    out = _explain(
+        ["--max-block-bytes", "4096", "plan", "explain", "--configs", "216"],
+        capsys,
+    )
+    assert out.startswith("strategy: vectorized\n")
+    assert "streamed: True" in out
+
+
+def test_plan_explain_reads_the_global_workers(capsys, monkeypatch):
+    from repro.core import parallel
+
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 4)
+    out = _explain(
+        ["--workers", "4", "plan", "explain", "--configs", "1000000"], capsys
+    )
+    assert out.startswith("strategy: sharded\n")
+    assert "configs 1000000, effective workers 4" in out
+
+
+def test_plan_explain_rejects_zero_workers(capsys):
+    assert main(["--workers", "0", "plan", "explain", "--configs", "216"]) == 2
+    assert "workers must be >= 1" in capsys.readouterr().err

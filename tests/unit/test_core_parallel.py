@@ -61,25 +61,16 @@ def _assert_bit_identical(a, b):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-#: Makes sharding the cheapest estimate at any size, so the planner
-#: shards whenever the context and the host allow it.
-CHEAP_SHARDS = planner.CostModel(
-    source="test",
-    vectorized_base_s=1.0,
-    vectorized_per_config_s=1.0,
-    shard_dispatch_s=0.0,
-    shard_overhead_per_config_s=0.0,
-    cache_read_base_s=1.0,
-    cache_read_per_config_s=1.0,
-)
+@pytest.fixture()
+def two_cpus(monkeypatch):
+    """A 2-CPU host, whatever the real affinity mask."""
+    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
 
 
 @pytest.fixture()
-def sharding_pays(monkeypatch):
-    """A 2-CPU host where sharding pays for any sweep size."""
-    monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_CONFIGS", 1)
-    monkeypatch.setattr(planner, "resolve_cost_model", lambda: CHEAP_SHARDS)
+def sharding_pays(monkeypatch, two_cpus):
+    """A 2-CPU host where the planner's rule shards any sweep size."""
+    monkeypatch.setattr(planner, "shard_pays", lambda size, workers: True)
 
 
 def _no_scratch_space():
@@ -247,12 +238,12 @@ def test_evaluate_space_under_plan_matches(model, sharding_pays):
 # ----------------------------------------------------------------------
 
 
-def test_small_sweep_runs_inline(model, monkeypatch, sharding_pays):
+def test_small_sweep_runs_inline(model, monkeypatch, two_cpus):
     def _forbidden(*args, **kwargs):  # pragma: no cover - fails the test
         raise AssertionError("small sweep must not shard")
 
+    # the real rule on a 2-CPU host: 36 configs are far below break-even
     monkeypatch.setattr(parallel, "_run_sharded", _forbidden)
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_CONFIGS", 10**9)
     reference = _compute(model, GRID, None, "bracketed", True)
     with use(workers=2):
         inline = evaluate_configs(model, GRID, use_cache=False)

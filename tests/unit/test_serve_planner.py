@@ -96,16 +96,6 @@ def test_streamed_response_bytes_identical_to_materialized(make_app):
 
 
 def test_sharded_response_bytes_identical(make_app, monkeypatch):
-    cheap_shards = planner.CostModel(
-        source="test",
-        vectorized_base_s=1.0,
-        vectorized_per_config_s=1.0,
-        shard_dispatch_s=0.0,
-        shard_overhead_per_config_s=0.0,
-        cache_read_base_s=1.0,
-        cache_read_per_config_s=1.0,
-    )
-
     async def run():
         vectorized = await _query(make_app(), _body())
         clear_evaluation_cache()
@@ -116,8 +106,7 @@ def test_sharded_response_bytes_identical(make_app, monkeypatch):
         assert app.registry.counter_value('plan_selected{strategy="sharded"}') == 1
 
     monkeypatch.setattr(parallel, "available_cpus", lambda: 2)
-    monkeypatch.setattr(parallel, "MIN_PARALLEL_CONFIGS", 1)
-    monkeypatch.setattr(planner, "resolve_cost_model", lambda: cheap_shards)
+    monkeypatch.setattr(planner, "shard_pays", lambda size, workers: True)
     try:
         asyncio.run(run())
     finally:
